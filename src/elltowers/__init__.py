@@ -6,7 +6,6 @@ the explicit layer, and Galois-orbit products of twisted L-values on the
 base), and fit the polynomial that the ell-adic valuations follow.
 """
 
-from .cli import RunConfig
 from .cyclotomic import (
     CycInt,
     epsilon,
@@ -50,10 +49,8 @@ from .lfunctions import (
     TowerCalculator,
     VanishingLValueError,
     enumerate_orbits,
-    kappa_via_lfunctions,
     l_value_at_one,
     orbit_records,
-    orbit_value,
     twisted_adjacency,
 )
 from .series import (

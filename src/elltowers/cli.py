@@ -47,14 +47,33 @@ DEFAULT_BUDGET = 3000
 BUDGET_ENV = "ELLTOWERS_BUDGET"
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum, anything else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"need an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+_nonnegative = _int_at_least(0)
+_positive = _int_at_least(1)
+
+
+def _resolve_budget(parser: argparse.ArgumentParser, args) -> None:
+    """An unset --budget falls back to the environment, then to the default."""
+    if getattr(args, "budget", DEFAULT_BUDGET) is not None:
+        return
     try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_BUDGET
+        args.budget = _nonnegative(os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET)))
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"{BUDGET_ENV}: {err}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +88,6 @@ class RunConfig:
     level: int | None = None
     layer: int | None = None
     digit_limit: int = 0
-
-    def __post_init__(self):
-        if self.n_max is not None and self.n_max < 0:
-            raise ValueError("--n-max must be nonnegative")
-        if self.budget < 0:
-            raise ValueError("--budget must be nonnegative")
-        if self.jobs < 1:
-            raise ValueError("--jobs must be positive")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -101,16 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, n_max=False, output=False, budget=False, jobs=False):
         p.add_argument("--spec", required=True, help="tower spec JSON file")
         if n_max:
-            p.add_argument("--n-max", type=int, required=True, help="deepest layer to compute")
+            p.add_argument("--n-max", type=_nonnegative, required=True, help="deepest layer to compute")
         if budget:
             p.add_argument(
                 "--budget",
-                type=int,
-                default=_default_budget(),
-                help=f"vertex budget for the matrix-tree cross-check (env {BUDGET_ENV})",
+                type=_nonnegative,
+                default=None,
+                help=f"vertex budget for building layers explicitly (env {BUDGET_ENV}, default {DEFAULT_BUDGET})",
             )
         if jobs:
-            p.add_argument("--jobs", type=int, default=1, help="parallel workers for orbit evaluation")
+            p.add_argument("--jobs", type=_positive, default=1, help="parallel workers for orbit evaluation")
         if output:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -124,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, n_max=True, output=True, budget=True, jobs=True)
 
     p = sub.add_parser("lvalues", help="per-orbit special values at one layer")
-    common(p, output=True, jobs=True)
-    p.add_argument("--level", type=int, required=True, help="layer n >= 1")
+    common(p, output=True)
+    p.add_argument("--level", type=_positive, required=True, help="layer n >= 1")
     p.add_argument(
         "--digit-limit",
         type=int,
@@ -139,10 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("export-dot", help="DOT rendering of one layer, fiber-colored")
-    common(p)
-    p.add_argument("--layer", type=int, required=True)
+    common(p, budget=True)
+    p.add_argument("--layer", type=_nonnegative, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--budget", type=int, default=_default_budget())
 
     return parser
 
@@ -329,7 +339,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _resolve_budget(parser, args)
     try:
         config = _config_from_args(args)
         return _COMMANDS[args.command](config)

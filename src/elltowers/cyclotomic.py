@@ -7,9 +7,10 @@ i.e. a residue class modulo the sparse cyclotomic polynomial
     Phi(x) = 1 + x^(ell^(n-1)) + x^(2 ell^(n-1)) + ... + x^((ell-1) ell^(n-1)).
 
 Everything is exact: norms down to Z are integer resultants, and ell-adic
-valuations come from the expansion of an element in powers of the
-uniformizer pi = 1 - zeta of the unique (totally ramified) prime above
-ell.  No complex embedding, no floating point, no precision to manage.
+valuations are orders at the uniformizer pi = 1 - zeta of the unique
+(totally ramified) prime above ell, read off from the ell-content and a
+computation modulo ell.  No complex embedding, no floating point, no
+precision to manage.
 
 level n = 0 is allowed and degenerates to plain integers, which is
 convenient for trivial characters.
@@ -17,6 +18,7 @@ convenient for trivial characters.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -211,36 +213,32 @@ def epsilon(ell: int, level: int, a: int) -> CycInt:
 def pi_adic_ord(x: CycInt) -> int:
     """Order of x at the prime above ell, normalized so 1 - zeta has order 1.
 
-    Repeatedly divides by pi = 1 - zeta.  The residue of x modulo pi is the
-    coefficient sum x(1) mod ell; while it vanishes, division is exact in
-    the ring via (1 - zeta)^(-1) = Psi(zeta)/ell with
-    Psi = (Phi - ell)/(x - 1), whose coefficients are ell-1-floor(t/step).
+    The prime is totally ramified: ell = pi^phi * unit with pi = 1 - zeta,
+    and Phi = (X - 1)^phi mod ell (Washington, Introduction to Cyclotomic
+    Fields, ch. 1).  Dividing out the ell-content ell^c contributes c * phi;
+    what remains is nonzero modulo ell, so its order r is below phi and
+    equals the multiplicity of the root 1 of its coefficient polynomial
+    over F_ell, counted by synthetic divisions by X - 1.  Level 0 (phi = 1)
+    is the plain ell-adic valuation of an integer and takes the same path.
     """
     if x.is_zero():
         raise ValueError("the zero element has infinite valuation")
     ell = x.ell
-    if x.level == 0:
-        c = abs(x.coeffs[0])
-        order = 0
-        while c % ell == 0:
-            c //= ell
-            order += 1
-        return order
-    step = ell ** (x.level - 1)
-    psi = [ell - 1 - t // step for t in range(len(x.coeffs))]
-    v = list(x.coeffs)
-    n = len(v)
-    order = 0
+    content, g = 0, math.gcd(*x.coeffs)
+    while g % ell == 0:
+        g //= ell
+        content += 1
+    scale = ell**content
+    v = [c // scale % ell for c in x.coeffs]
+    while not v[-1]:
+        v.pop()
+    order = content * len(x.coeffs)
     while True:
-        totals = list(accumulate(reversed(v)))
-        s = totals[-1]
-        if s % ell:
+        # suffix sums: the quotient by X - 1, then the remainder v(1)
+        totals = [t % ell for t in accumulate(reversed(v))]
+        if totals[-1]:
             return order
-        c = s // ell
-        u = [c * p for p in psi]
-        for t in range(n - 1):
-            u[t] -= totals[n - 2 - t]
-        v = u
+        v = totals[-2::-1]
         order += 1
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lfunctions import TowerCalculator
+from .lfunctions import TowerCalculator, orbit_records
 from .linalg import solve_linear_fractions
 from .treecount import kappa_matrix_tree
 from .voltage import VoltageSpec, derived_graph
@@ -63,7 +63,7 @@ def sequence_entry(calc: TowerCalculator, n: int, matrix_tree_budget: int) -> Se
             raise RouteMismatchError(
                 f"layer {n}: matrix-tree kappa has ord {mt.ord_ell}, "
                 f"L-function route gives {order}",
-                records=calc.records(n, with_integer=True),
+                records=orbit_records(spec, n),
             )
         route = "both-agree"
     return SequenceEntry(n, order, route)
@@ -74,7 +74,6 @@ def valuation_sequence(
     n_max: int,
     *,
     matrix_tree_budget: int = 3000,
-    jobs: int = 1,
     calculator: TowerCalculator | None = None,
 ) -> ValuationSequence:
     """ord_ell(kappa_n) for n = 1..n_max.
@@ -84,7 +83,7 @@ def valuation_sequence(
     count compared -- the full integers, not just their valuations; any
     disagreement is a hard error carrying the per-orbit records.
     """
-    calc = calculator if calculator is not None else TowerCalculator(spec, jobs=jobs)
+    calc = calculator if calculator is not None else TowerCalculator(spec)
     entries = tuple(sequence_entry(calc, n, matrix_tree_budget) for n in range(1, n_max + 1))
     return ValuationSequence(spec.ell, spec.d, entries)
 

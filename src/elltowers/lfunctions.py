@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
 from .cyclotomic import (
     CycInt,
     norm_to_int,
@@ -49,10 +47,6 @@ class VanishingLValueError(RuntimeError):
 class CharacterIndex:
     level: int
     vector: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.vector)
 
 
 @dataclass(frozen=True)
@@ -196,8 +190,6 @@ def enumerate_orbits(ell: int, n: int, d: int) -> list[CharacterOrbit]:
 def _orbit_exact_value(spec: VoltageSpec, n: int, orbit: CharacterOrbit) -> CycInt:
     """The representative value, computed at the character's exact level
     (where the coefficient vector is shortest)."""
-    if orbit.representative.is_trivial:
-        raise ValueError("the trivial orbit carries no invertible value")
     k = 0
     q = orbit.exact_order
     while q > 1:
@@ -214,28 +206,17 @@ def _orbit_exact_value(spec: VoltageSpec, n: int, orbit: CharacterOrbit) -> CycI
     return value
 
 
-def orbit_value(spec: VoltageSpec, n: int, orbit: CharacterOrbit, *, with_integer: bool = True) -> LValueRecord:
-    """Evaluate one Galois orbit: the pi-adic order of the orbit product
-    always, and the exact integer (a resultant norm) unless suppressed.
+def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LValueRecord]:
+    """All orbit records at layer n in canonical order: the pi-adic order
+    of each orbit product, and its exact integer (a resultant norm).
 
     The representative value lives in the field of the character's exact
     order ell^k, so the norm is taken from there: the degree drops from
-    phi(ell^n) to phi(ell^k), and the orbit product equals that norm.
+    phi(ell^n) to phi(ell^k), and the orbit product equals that norm.  A
+    positive digit limit skips integer values whose predicted size
+    (phi * log10 of the coefficient 1-norm, an upper bound) exceeds it;
+    orders stay exact.
     """
-    value = _orbit_exact_value(spec, n, orbit)
-    order = pi_adic_ord(value)
-    integer = None
-    if with_integer:
-        integer = norm_to_int(value)
-        if integer <= 0 or ord_prime(integer, spec.ell) != order:
-            raise RuntimeError("norm and pi-adic order disagree; internal inconsistency")
-    return LValueRecord(orbit, order, integer)
-
-
-def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LValueRecord]:
-    """All orbit records at layer n in canonical order.  A positive digit
-    limit skips integer values whose predicted size (phi * log10 of the
-    coefficient 1-norm, an upper bound) exceeds it; orders stay exact."""
     out = []
     for orbit in enumerate_orbits(spec.ell, n, spec.d):
         value = _orbit_exact_value(spec, n, orbit)
@@ -243,6 +224,8 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
         integer = None
         if digit_limit <= 0 or _digit_bound(value) <= digit_limit:
             integer = norm_to_int(value)
+            if integer <= 0 or ord_prime(integer, spec.ell) != order:
+                raise RuntimeError("norm and pi-adic order disagree; internal inconsistency")
         out.append(LValueRecord(orbit, order, integer))
     return out
 
@@ -250,46 +233,6 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
 def _digit_bound(value: CycInt) -> int:
     l1 = sum(abs(c) for c in value.coeffs)
     return int(len(value.coeffs) * math.log10(max(l1, 2))) + 1
-
-
-# fast batch valuations at ell = 2 ----------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _pascal_mod_2_64(phi: int) -> np.ndarray:
-    p = np.zeros((phi, phi), dtype=np.uint64)
-    p[0, 0] = 1
-    for i in range(1, phi):
-        p[i, 0] = 1
-        p[i, 1:] = p[i - 1, 1:] + p[i - 1, :-1]
-    return p
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def _batch_ord_two(vectors, phi: int) -> list[int | None]:
-    """pi-adic orders of many level-(2, k) elements at once.
-
-    Writing x = g(pi) in the uniformizer basis (g = f(1 - X), a binomial
-    transform), the terms g_j pi^j have pairwise distinct valuations
-    phi * ord_2(g_j) + j, so the valuation of x is their minimum.  The
-    transform is done modulo 2^64; a residue r != 0 pins ord_2(g_j)
-    exactly whenever it is < 64, and a zero residue only pushes the term
-    to >= 64 * phi.  Rows whose minimum is not certified (>= 64 * phi)
-    come back as None and the caller falls back to exact division.
-    """
-    pas = _pascal_mod_2_64(phi)
-    f = np.array([[c & _MASK64 for c in vec] for vec in vectors], dtype=np.uint64)
-    g = f @ pas
-    low = g & (~g + np.uint64(1))
-    zero = g == 0
-    low_safe = np.where(zero, np.uint64(1), low)
-    tz = np.log2(low_safe.astype(np.float64)).round().astype(np.int64)
-    tz = np.where(zero, np.int64(64), tz)
-    cand = phi * tz + np.arange(phi, dtype=np.int64)[None, :]
-    mins = cand.min(axis=1)
-    return [int(v) if v < 64 * phi else None for v in mins]
 
 
 # the tower calculator ----------------------------------------------------------
@@ -334,19 +277,8 @@ class TowerCalculator:
             return got
         spec = self.spec
         prims = _primitive_orbit_reps(spec.ell, k, spec.d)
-        phi = phi_ell_power(spec.ell, k)
         ords: list[int]
-        if spec.ell == 2 and spec.base.n_vertices == 1 and phi >= 32:
-            vectors = [_bouquet_value_vector(spec, k, p) for p in prims]
-            for vec in vectors:
-                if not any(vec):
-                    raise VanishingLValueError(f"vanishing orbit value at level {k}")
-            fast = _batch_ord_two(vectors, phi)
-            ords = [
-                o if o is not None else pi_adic_ord(CycInt(spec.ell, k, vec))
-                for o, vec in zip(fast, vectors)
-            ]
-        elif self.jobs > 1 and len(prims) >= 4 * self.jobs:
+        if self.jobs > 1 and len(prims) >= 4 * self.jobs:
             chunks = [prims[i :: self.jobs] for i in range(self.jobs)]
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 parts = list(pool.map(_ord_batch_worker, [(spec, k, c) for c in chunks]))
@@ -390,20 +322,3 @@ class TowerCalculator:
         if prod % denominator:
             raise RuntimeError("orbit product is not divisible by ell^(d n); internal inconsistency")
         return prod // denominator
-
-    def records(self, n: int, *, with_integer: bool = True) -> list[LValueRecord]:
-        out = []
-        for orbit in enumerate_orbits(self.spec.ell, n, self.spec.d):
-            out.append(orbit_value(self.spec, n, orbit, with_integer=with_integer))
-        return out
-
-
-def kappa_via_lfunctions(spec: VoltageSpec, n: int) -> TreeCount:
-    """Tree number of layer n computed without building the layer:
-    kappa_X times the product of the orbit norms, divided by ell^(d n)."""
-    calc = TowerCalculator(spec)
-    kappa = calc.kappa_exact(n)
-    order = calc.ord_valuation(n)
-    if ord_prime(kappa, spec.ell) != order:
-        raise RuntimeError("valuation route and norm route disagree; internal inconsistency")
-    return TreeCount(kappa, spec.ell, order, route="l-function")

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from conftest import FIXTURES
 
@@ -8,11 +11,12 @@ E1 = str(FIXTURES / "bouquet2_ell2.json")
 E4 = str(FIXTURES / "bouquet2_ell3.json")
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "elltowers.cli", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -20,6 +24,7 @@ def test_validate_good_spec():
     result = run_cli("validate", "--spec", E1)
     assert result.returncode == 0
     assert "connected at every layer" in result.stdout
+    assert "RuntimeWarning" not in result.stderr
 
 
 def test_validate_non_generating_voltages(tmp_path):
@@ -130,6 +135,27 @@ def test_export_dot_budget_error():
     assert result.returncode == 1
 
 
-def test_usage_error_exits_two():
-    result = run_cli("table", "--spec", E1)  # missing --n-max
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(("table", "--spec", E1), id="missing-n-max"),
+        pytest.param(("table", "--spec", E1, "--n-max", "2", "--jobs", "0"), id="jobs-0"),
+        pytest.param(("table", "--spec", E1, "--n-max", "-1"), id="n-max-negative"),
+        pytest.param(("fit", "--spec", E1, "--n-max", "5", "--budget", "-1"), id="budget-negative"),
+        pytest.param(("lvalues", "--spec", E1, "--level", "0"), id="level-0"),
+        pytest.param(("export-dot", "--spec", E1, "--layer", "-1"), id="layer-negative"),
+    ],
+)
+def test_usage_error_exits_two(args):
+    result = run_cli(*args)
     assert result.returncode == 2
+    assert "error:" in result.stderr
+
+
+def test_budget_env():
+    result = run_cli("table", "--spec", E1, "--n-max", "2", env={"ELLTOWERS_BUDGET": "10"})
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1:] == ["1,5,both-agree", "2,19,l-function"]
+    result = run_cli("table", "--spec", E1, "--n-max", "1", env={"ELLTOWERS_BUDGET": "abc"})
+    assert result.returncode == 2
+    assert "error: ELLTOWERS_BUDGET" in result.stderr

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from elltowers import (
     CharacterIndex,
-    CharacterOrbit,
     VanishingLValueError,
     VoltageSpec,
     build_graph,
@@ -14,10 +13,9 @@ from elltowers import (
     derived_graph,
     enumerate_orbits,
     kappa_matrix_tree,
-    kappa_via_lfunctions,
     l_value_at_one,
     orbit_records,
-    orbit_value,
+    ord_prime,
     phi_ell_power,
     twisted_adjacency,
 )
@@ -141,8 +139,7 @@ def test_representative_is_lexicographically_least():
 
 
 def test_orbit_values_example_one():
-    orbits = enumerate_orbits(2, 1, 2)
-    records = {o.representative.vector: orbit_value(E1, 1, o) for o in orbits}
+    records = {rec.orbit.representative.vector: rec for rec in orbit_records(E1, 1)}
     assert records[(1, 0)].integer_value == 4
     assert records[(0, 1)].integer_value == 4
     assert records[(1, 1)].integer_value == 8
@@ -154,22 +151,16 @@ def test_orbit_values_example_one():
 
 
 def test_orbit_ord_sum_example_four():
-    total = sum(orbit_value(E4, 1, o).ord_ell for o in enumerate_orbits(3, 1, 2))
+    total = sum(rec.ord_ell for rec in orbit_records(E4, 1))
     assert total == 8  # 2*1 + ord_3(kappa_1) with kappa_1 valuation 6
-
-
-def test_trivial_orbit_rejected():
-    fake = CharacterOrbit(2, 1, CharacterIndex(1, (0, 0)), 1, 1)
-    with pytest.raises(ValueError):
-        orbit_value(E1, 1, fake)
 
 
 def test_vanishing_value_signals_disconnection():
     g = build_graph(1, [(0, 0), (0, 0)])
     bad = VoltageSpec(g, default_section(g), ((2, 0), (0, 1)), 2, 2)
-    orbit = next(o for o in enumerate_orbits(2, 1, 2) if o.representative.vector == (1, 0))
+    # the orbit of (1, 0) sees both voltages as 0 mod 2
     with pytest.raises(VanishingLValueError):
-        orbit_value(bad, 1, orbit)
+        orbit_records(bad, 1)
 
 
 def test_conjugate_character_pairing():
@@ -201,7 +192,10 @@ def test_route_equivalence_on_random_specs():
             if spec.base.n_vertices * spec.ell ** (spec.d * n) > 800:
                 continue
             layer = derived_graph(spec, n)
-            assert kappa_matrix_tree(layer.graph).kappa == kappa_via_lfunctions(spec, n).kappa
+            calc = TowerCalculator(spec)
+            kappa = calc.kappa_exact(n)
+            assert kappa_matrix_tree(layer.graph).kappa == kappa
+            assert ord_prime(kappa, spec.ell) == calc.ord_valuation(n)
 
 
 def test_digit_limit_suppresses_large_norms():
