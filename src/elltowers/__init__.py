@@ -47,7 +47,6 @@ from .lfunctions import (
     CharacterOrbit,
     LValueRecord,
     TowerCalculator,
-    VanishingLValueError,
     enumerate_orbits,
     l_value_at_one,
     orbit_records,
@@ -60,7 +59,6 @@ from .series import (
     evaluate_at_classical_point,
     iwasawa_invariants_d1,
     q_series,
-    rho_series,
 )
 from .treecount import (
     DisconnectedGraphError,

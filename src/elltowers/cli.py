@@ -31,7 +31,7 @@ from .fit import (
     verify_fit,
 )
 from .graphs import GraphInputError, validate_base
-from .lfunctions import TowerCalculator, VanishingLValueError, orbit_records
+from .lfunctions import TowerCalculator, orbit_records
 from .series import q_series
 from .voltage import (
     BudgetExceededError,
@@ -139,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_positive, required=True, help="layer n >= 1")
     p.add_argument(
         "--digit-limit",
-        type=int,
+        type=_nonnegative,
         default=0,
         help="suppress integer values predicted to exceed this many digits (0 = no limit)",
     )
 
     p = sub.add_parser("qseries", help="coefficients of the determinant series Q(T)")
     common(p)
-    p.add_argument("--trunc", type=int, default=None, help="total-degree truncation")
+    p.add_argument("--trunc", type=_nonnegative, default=None, help="total-degree truncation")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("export-dot", help="DOT rendering of one layer, fiber-colored")
@@ -359,7 +359,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return 1
-    except (DisconnectedCoverError, VanishingLValueError, BudgetExceededError, ValueError) as err:
+    except (DisconnectedCoverError, BudgetExceededError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,11 @@
 For a character psi of (Z/ell^n Z)^d indexed by a vector a, the twisted
 adjacency matrix has entries sum psi(alpha(s)) + psi(-alpha(s)) over the
 section edges joining the two vertices, and the special value of interest
-is det(D - A_psi), a cyclotomic integer.  Characters fall into Galois
+is det(D - A_psi), a cyclotomic integer.  Production code reads it off the
+tower's characteristic polynomial P(x) = det(D - A_x) (series.char_poly),
+computed once per TowerCalculator; twisted_adjacency and l_value_at_one
+build the twisted matrix directly and stay as the independent oracle the
+tests compare P against.  Characters fall into Galois
 orbits under the diagonal action of (Z/ell^n Z)^x; the product of the
 values over one orbit is a rational integer, equal to the norm of the
 value at any orbit member taken from the field its exact order generates.
@@ -35,12 +39,9 @@ from .cyclotomic import (
 )
 from .graphs import validate_base
 from .linalg import det_in_ring
+from .series import LaurentPoly, char_poly, character_value
 from .treecount import TreeCount, kappa_matrix_tree, ord_prime
 from .voltage import DisconnectedCoverError, VoltageSpec, check_tower_connectivity, reduce_voltage
-
-
-class VanishingLValueError(RuntimeError):
-    """A nontrivial character value came out zero: the layer is disconnected."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class LValueRecord:
     integer_value: int | None
 
 
-# character values -------------------------------------------------------------
+# the oracle: one twisted determinant per character ------------------------------
 
 
 def twisted_adjacency(spec: VoltageSpec, n: int, chi: CharacterIndex):
@@ -114,38 +115,6 @@ def l_value_at_one(spec: VoltageSpec, n: int, chi: CharacterIndex) -> CycInt:
         for i in range(g.n_vertices)
     ]
     return det_in_ring(rows)
-
-
-def _bouquet_value_vector(spec: VoltageSpec, k: int, avec) -> list[int]:
-    """Coefficient vector of sum_s (2 - zeta^(a.alpha(s)) - zeta^(-a.alpha(s)))
-    at level k, built without any ring multiplications."""
-    ell = spec.ell
-    m = ell**k
-    phi = phi_ell_power(ell, k)
-    step = ell ** (k - 1) if k else 1
-    vec = [0] * phi
-    vec[0] = 2 * len(spec.alpha)
-
-    def sub_zeta(e):
-        if e < phi:
-            vec[e] -= 1
-        else:
-            base = e - phi
-            for j in range(ell - 1):
-                vec[base + j * step] += 1
-
-    for row in spec.alpha:
-        c = sum(a * b for a, b in zip(avec, row)) % m
-        sub_zeta(c)
-        sub_zeta((m - c) % m)
-    return vec
-
-
-def _character_value(spec: VoltageSpec, k: int, avec) -> CycInt:
-    """h(1, psi) for the character indexed by avec at its exact level k."""
-    if spec.base.n_vertices == 1:
-        return CycInt(spec.ell, k, _bouquet_value_vector(spec, k, avec))
-    return l_value_at_one(spec, k, CharacterIndex(k, tuple(avec)))
 
 
 # orbit enumeration ------------------------------------------------------------
@@ -187,39 +156,26 @@ def enumerate_orbits(ell: int, n: int, d: int) -> list[CharacterOrbit]:
     return orbits
 
 
-def _orbit_exact_value(spec: VoltageSpec, n: int, orbit: CharacterOrbit) -> CycInt:
-    """The representative value, computed at the character's exact level
-    (where the coefficient vector is shortest)."""
-    k = 0
-    q = orbit.exact_order
-    while q > 1:
-        q //= spec.ell
-        k += 1
-    scale = spec.ell ** (n - k)
-    prim = tuple(x // scale for x in orbit.representative.vector)
-    value = _character_value(spec, k, prim)
-    if value.is_zero():
-        raise VanishingLValueError(
-            f"character {orbit.representative.vector} at level {n} has vanishing value; "
-            "the corresponding layer is disconnected"
-        )
-    return value
-
-
 def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LValueRecord]:
     """All orbit records at layer n in canonical order: the pi-adic order
     of each orbit product, and its exact integer (a resultant norm).
 
-    The representative value lives in the field of the character's exact
-    order ell^k, so the norm is taken from there: the degree drops from
+    The representative value is computed at the character's exact order
+    ell^k, so the norm is taken from that field: the degree drops from
     phi(ell^n) to phi(ell^k), and the orbit product equals that norm.  A
     positive digit limit skips integer values whose predicted size
     (phi * log10 of the coefficient 1-norm, an upper bound) exceeds it;
-    orders stay exact.
+    orders stay exact.  The spec goes through TowerCalculator, so an
+    inadmissible base or a disconnected tower is rejected as in the tables.
     """
+    calc = TowerCalculator(spec)
     out = []
     for orbit in enumerate_orbits(spec.ell, n, spec.d):
-        value = _orbit_exact_value(spec, n, orbit)
+        k = n
+        while spec.ell**k > orbit.exact_order:
+            k -= 1
+        scale = spec.ell ** (n - k)
+        value = calc.value(k, tuple(x // scale for x in orbit.representative.vector))
         order = pi_adic_ord(value)
         integer = None
         if digit_limit <= 0 or _digit_bound(value) <= digit_limit:
@@ -239,8 +195,8 @@ def _digit_bound(value: CycInt) -> int:
 
 
 def _ord_batch_worker(args):
-    spec, k, prims = args
-    return [pi_adic_ord(_character_value(spec, k, p)) for p in prims]
+    poly, ell, k, prims = args
+    return [pi_adic_ord(character_value(poly, ell, k, p)) for p in prims]
 
 
 class TowerCalculator:
@@ -248,7 +204,8 @@ class TowerCalculator:
 
     Level k data (values of characters of exact order ell^k) is the same
     for every layer n >= k, so the tables for n = 1..n_max cost one pass
-    per level, not one per layer.
+    per level, not one per layer.  Every value is a specialization of the
+    characteristic polynomial P, built on first use.
     """
 
     def __init__(self, spec: VoltageSpec, jobs: int = 1):
@@ -263,6 +220,18 @@ class TowerCalculator:
         self._level_ords: dict[int, tuple[int, ...]] = {}
         self._level_norms: dict[int, tuple[int, ...]] = {}
         self._base: TreeCount | None = None
+        self._poly: LaurentPoly | None = None
+
+    @property
+    def poly(self) -> LaurentPoly:
+        """P(x) = det(D - A_x), computed once."""
+        if self._poly is None:
+            self._poly = char_poly(self.spec)
+        return self._poly
+
+    def value(self, k: int, avec) -> CycInt:
+        """h(1, psi) for the character indexed by avec at its exact level k."""
+        return character_value(self.poly, self.spec.ell, k, avec)
 
     def base_tree_count(self) -> TreeCount:
         if self._base is None:
@@ -281,13 +250,13 @@ class TowerCalculator:
         if self.jobs > 1 and len(prims) >= 4 * self.jobs:
             chunks = [prims[i :: self.jobs] for i in range(self.jobs)]
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                parts = list(pool.map(_ord_batch_worker, [(spec, k, c) for c in chunks]))
+                parts = list(pool.map(_ord_batch_worker, [(self.poly, spec.ell, k, c) for c in chunks]))
             ords = [0] * len(prims)
             for offset, part in enumerate(parts):
                 for j, val in enumerate(part):
                     ords[offset + j * self.jobs] = val
         else:
-            ords = [pi_adic_ord(_character_value(spec, k, p)) for p in prims]
+            ords = _ord_batch_worker((self.poly, spec.ell, k, prims))
         result = tuple(ords)
         self._level_ords[k] = result
         return result
@@ -298,7 +267,7 @@ class TowerCalculator:
             return got
         spec = self.spec
         prims = _primitive_orbit_reps(spec.ell, k, spec.d)
-        norms = tuple(norm_to_int(_character_value(spec, k, p)) for p in prims)
+        norms = tuple(norm_to_int(self.value(k, p)) for p in prims)
         self._level_norms[k] = norms
         return norms
 

@@ -78,8 +78,10 @@ def det_in_ring(rows):
 
     Laplace expansion memoised on column subsets, O(2^n * n) ring
     operations; meant for small matrices whose entries are ring elements
-    (cyclotomic integers, truncated power series) where exact division is
-    awkward.  Entries must support +, -, * and truthiness.
+    where exact division is awkward: Laurent polynomials, once per tower
+    for the characteristic polynomial P(x) = det(D - A_x), and cyclotomic
+    integers in the l_value_at_one oracle.  Entries must support +, -, *
+    and truthiness.
     """
     n = len(rows)
     if n == 0:

@@ -1,12 +1,23 @@
-"""Multivariable power series truncated by total degree, the group
-character a -> (1-T_1)^a_1 ... (1-T_d)^a_d into the series ring, and the
-determinant series Q(T) = det(D - A_rho) of a voltage specification.
+"""The characteristic polynomial P(x) = det(D - A_x) of a voltage
+specification, and every value read off it.
 
-Two evaluation semantics coexist on purpose.  The truncated form exposes
-coefficients (for the one-variable mu/lambda analysis); the exact form
-substitutes roots of unity for 1 - T_i and lands in a cyclotomic integer
-ring with no truncation anywhere, so the coefficient window can never
-contaminate an identity check.
+A_x is the adjacency matrix with the section edge s carrying the monomial
+x^alpha(s) and its inverse x^(-alpha(s)), so P is an integer Laurent
+polynomial in x_1, ..., x_d, computed once with one det_in_ring.  Each
+value the package needs is a specialization of P:
+
+* the character of exact order ell^k indexed by a sends x_i to zeta^(a_i),
+  which gives the twisted special value det(D - A_psi) in Z[zeta_(ell^k)]
+  (character_value);
+* the classical point (1 - zeta^(a_1), ..., 1 - zeta^(a_d)) of the unit
+  polydisk is the same substitution written in T_i = 1 - x_i
+  (evaluate_at_classical_point);
+* x_i = 1 - T_i, expanded as power series in T, gives the determinant
+  series Q(T) = det(D - A_rho) with rho(a) = prod_i (1 - T_i)^(a_i)
+  (q_series).
+
+Values are exact.  Only the listing of Q's coefficients has a window
+(total degree at most a cap), and no value is ever computed from it.
 """
 
 from __future__ import annotations
@@ -14,90 +25,102 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .cyclotomic import CycInt, zeta_power
+from .cyclotomic import CycInt, phi_ell_power
 from .linalg import det_in_ring
 from .treecount import ord_prime
 from .voltage import VoltageSpec
 
 
+class LaurentPoly:
+    """An integer Laurent polynomial in d variables, stored as a dict from
+    exponent tuples (negative entries allowed) to nonzero coefficients.
+    Has exactly the ring operations det_in_ring uses."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(out)
+
+    def __neg__(self):
+        return LaurentPoly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return LaurentPoly(out)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def char_poly(spec: VoltageSpec) -> LaurentPoly:
+    """P(x) = det(D - A_x), where entry (i, j) of A_x sums x^alpha(s) over
+    the section edges s from v_i to v_j and x^(-alpha(s)) over those from
+    v_j to v_i."""
+    g = spec.base
+    val = g.valencies()
+    rows = [
+        [{(0,) * spec.d: val[i]} if i == j else {} for j in range(g.n_vertices)]
+        for i in range(g.n_vertices)
+    ]
+    for s, e in zip(spec.section.edges, spec.alpha):
+        i, j = g.origin(s), g.terminus(s)
+        for r, c, x in ((i, j, tuple(e)), (j, i, tuple(-a for a in e))):
+            rows[r][c][x] = rows[r][c].get(x, 0) - 1
+    return det_in_ring([[LaurentPoly(entry) for entry in row] for row in rows])
+
+
+def character_value(poly: LaurentPoly, ell: int, level: int, avec) -> CycInt:
+    """P(zeta^(a_1), ..., zeta^(a_d)) with zeta a primitive ell^level-th
+    root of unity, built without any ring multiplications.
+
+    Each term c x^e lands on zeta^(a.e mod ell^level).  An exponent
+    x >= phi is reduced in one step by
+    zeta^x = -(zeta^(x-phi) + zeta^(x-phi+s) + ... + zeta^(x-phi+(ell-2)s))
+    with s = ell^(level-1); every index on the right is below phi.
+    """
+    m = ell**level
+    phi = phi_ell_power(ell, level)
+    step = ell ** (level - 1) if level else 1
+    vec = [0] * phi
+    for e, c in poly.terms.items():
+        x = sum(a * b for a, b in zip(avec, e)) % m
+        if x < phi:
+            vec[x] += c
+        else:
+            for j in range(x - phi, phi, step):
+                vec[j] -= c
+    return CycInt(ell, level, vec)
+
+
+# the determinant series Q(T) ----------------------------------------------------
+
+
 @dataclass
 class TruncatedSeries:
+    """The coefficients of a d-variable power series up to total degree
+    cap; exponents not listed have coefficient zero."""
+
     num_vars: int
     cap: int
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for expo, c in self.coeffs.items():
-            expo = tuple(expo)
-            if len(expo) != self.num_vars:
-                raise ValueError("exponent arity mismatch")
-            if c and sum(expo) <= self.cap:
-                clean[expo] = clean.get(expo, 0) + c
-        self.coeffs = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def constant(cls, num_vars, cap, c):
-        return cls(num_vars, cap, {(0,) * num_vars: int(c)} if c else {})
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries.constant(self.num_vars, self.cap, other)
-        if isinstance(other, TruncatedSeries):
-            if other.num_vars != self.num_vars or other.cap != self.cap:
-                raise ValueError("mixed series rings")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return TruncatedSeries(self.num_vars, self.cap, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.num_vars, self.cap, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        cap = self.cap
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for e2, c2 in other.coeffs.items():
-                if d1 + sum(e2) > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return TruncatedSeries(self.num_vars, self.cap, out)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = TruncatedSeries.constant(self.num_vars, self.cap, other)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.num_vars, self.cap, self.coeffs) == (other.num_vars, other.cap, other.coeffs)
+        if any(len(expo) != self.num_vars for expo in self.coeffs):
+            raise ValueError("exponent arity mismatch")
+        self.coeffs = {tuple(e): c for e, c in self.coeffs.items() if c and sum(e) <= self.cap}
 
     def coefficient(self, expo) -> int:
         return self.coeffs.get(tuple(expo), 0)
@@ -108,35 +131,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.num_vars, cap, dict(self.coeffs))
 
 
-def _one_minus_t_power(i: int, a: int, num_vars: int, cap: int) -> TruncatedSeries:
-    """(1 - T_i)^a truncated; the geometric series handles a < 0.
-    Coefficient of T^t is (-1)^t C(a, t), i.e. C(t - a - 1, t) for a < 0."""
-    coeffs = {}
-    for t in range(cap + 1):
-        if a >= 0:
-            if t > a:
-                break
-            c = (-1) ** t * comb(a, t)
-        else:
-            c = comb(t - a - 1, t)
-        expo = [0] * num_vars
-        expo[i] = t
-        coeffs[tuple(expo)] = c
-    return TruncatedSeries(num_vars, cap, coeffs)
-
-
-def rho_series(a, cap: int) -> TruncatedSeries:
-    """The character value rho(a) = prod_i (1 - T_i)^(a_i), truncated at
-    total degree cap.  Exact polynomial whenever every a_i >= 0 and cap is
-    at least their sum."""
-    a = tuple(int(x) for x in a)
-    result = TruncatedSeries.constant(len(a), cap, 1)
-    for i, ai in enumerate(a):
-        if ai:
-            result = result * _one_minus_t_power(i, ai, len(a), cap)
-    return result
-
-
 def default_truncation(spec: VoltageSpec) -> int:
     """Heuristic coefficient window: generous enough to expose the
     lambda-relevant coefficients in the worked one-variable cases."""
@@ -144,29 +138,35 @@ def default_truncation(spec: VoltageSpec) -> int:
     return 2 * biggest * spec.ell + 8
 
 
+def _one_minus_t_coefficient(a: int, t: int) -> int:
+    """The coefficient of T^t in (1 - T)^a; the geometric series handles
+    a < 0."""
+    return (-1) ** t * comb(a, t) if a >= 0 else comb(t - a - 1, t)
+
+
 def q_series(spec: VoltageSpec, cap: int | None = None) -> TruncatedSeries:
-    """Q(T) = det(D - A_rho) over the truncated series ring; the constant
-    term is det(D - A) = 0."""
+    """Q(T) = P(1 - T_1, ..., 1 - T_d) up to total degree cap.  The term
+    c x^e contributes c * prod_i [T_i^(t_i)] (1 - T_i)^(e_i) to the
+    coefficient of T^t.  The constant term is P(1, ..., 1) = det(D - A) = 0."""
     if cap is None:
         cap = default_truncation(spec)
-    g = spec.base
-    d = spec.d
-    val = g.valencies()
-    rows = [
-        [
-            TruncatedSeries.constant(d, cap, val[i] if i == j else 0)
-            for j in range(g.n_vertices)
-        ]
-        for i in range(g.n_vertices)
-    ]
-    for idx, s in enumerate(spec.section.edges):
-        i, j = g.origin(s), g.terminus(s)
-        rows[i][j] = rows[i][j] - rho_series(spec.alpha[idx], cap)
-        rows[j][i] = rows[j][i] - rho_series(tuple(-a for a in spec.alpha[idx]), cap)
-    det = det_in_ring(rows)
-    if det.coefficient((0,) * d) != 0:
+    poly = char_poly(spec)
+    if sum(poly.terms.values()):
         raise RuntimeError("constant term of Q should vanish (singular Laplacian)")
-    return det
+    coeffs: dict = {}
+    for e, c in poly.terms.items():
+        partial = {(): c}
+        for a in e:
+            row = [_one_minus_t_coefficient(a, t) for t in range(cap + 1)]
+            partial = {
+                key + (t,): v * row[t]
+                for key, v in partial.items()
+                for t in range(cap + 1 - sum(key))
+                if row[t]
+            }
+        for key, v in partial.items():
+            coeffs[key] = coeffs.get(key, 0) + v
+    return TruncatedSeries(spec.d, cap, coeffs)
 
 
 # exact evaluation at classical points ------------------------------------------
@@ -182,39 +182,13 @@ class ClassicalPoint:
     exponents: tuple[int, ...]
 
 
-def _rho_at_point(point: ClassicalPoint, bvec) -> CycInt:
-    """rho(b) evaluated at the point: prod_i (zeta^(a_i))^(b_i), computed by
-    honest ring exponentiation (negative b_i through zeta^(-a_i))."""
-    result = CycInt.one(point.ell, point.level)
-    for a, b in zip(point.exponents, bvec):
-        if b == 0:
-            continue
-        base = zeta_power(point.ell, point.level, a if b > 0 else -a)
-        result = result * base ** abs(b)
-    return result
-
-
 def evaluate_at_classical_point(spec: VoltageSpec, point: ClassicalPoint) -> CycInt:
-    """Exact value of Q at a classical point: det(D - A_rho) with every
-    rho(alpha(s)) specialized to a root of unity.  No truncation is
-    involved, so this equals the twisted special value on the nose."""
+    """Exact value of Q at a classical point, i.e. P at x_i = zeta^(a_i).
+    No truncation is involved, so this equals the twisted special value on
+    the nose."""
     if len(point.exponents) != spec.d:
         raise ValueError("point arity does not match the tower rank")
-    g = spec.base
-    ell, level = point.ell, point.level
-    val = g.valencies()
-    rows = [
-        [
-            CycInt.integer(ell, level, val[i] if i == j else 0)
-            for j in range(g.n_vertices)
-        ]
-        for i in range(g.n_vertices)
-    ]
-    for idx, s in enumerate(spec.section.edges):
-        i, j = g.origin(s), g.terminus(s)
-        rows[i][j] = rows[i][j] - _rho_at_point(point, spec.alpha[idx])
-        rows[j][i] = rows[j][i] - _rho_at_point(point, tuple(-a for a in spec.alpha[idx]))
-    return det_in_ring(rows)
+    return character_value(char_poly(spec), point.ell, point.level, point.exponents)
 
 
 # one-variable Weierstrass data --------------------------------------------------

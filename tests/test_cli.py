@@ -109,6 +109,16 @@ def test_lvalues_command():
     assert values == ["4", "4", "8"]
 
 
+def test_lvalues_rejects_inadmissible_base(tmp_path):
+    doc = {"graph": {"vertices": 1, "edges": [[0, 0]]}, "ell": 2, "d": 1, "alpha": [[1]]}
+    path = tmp_path / "one_loop.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("lvalues", "--spec", str(path), "--level", "2")
+    assert result.returncode == 1
+    assert "base graph is not admissible" in result.stderr
+    assert result.stdout == ""
+
+
 def test_lvalues_digit_limit():
     result = run_cli("lvalues", "--spec", E1, "--level", "3", "--digit-limit", "2")
     assert result.returncode == 0
@@ -144,6 +154,8 @@ def test_export_dot_budget_error():
         pytest.param(("fit", "--spec", E1, "--n-max", "5", "--budget", "-1"), id="budget-negative"),
         pytest.param(("lvalues", "--spec", E1, "--level", "0"), id="level-0"),
         pytest.param(("export-dot", "--spec", E1, "--layer", "-1"), id="layer-negative"),
+        pytest.param(("qseries", "--spec", E1, "--trunc", "-1"), id="trunc-negative"),
+        pytest.param(("lvalues", "--spec", E1, "--level", "2", "--digit-limit", "-5"), id="digit-limit-negative"),
     ],
 )
 def test_usage_error_exits_two(args):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from elltowers import (
     CharacterIndex,
-    VanishingLValueError,
+    DisconnectedCoverError,
     VoltageSpec,
     build_graph,
     default_section,
@@ -20,7 +20,8 @@ from elltowers import (
     twisted_adjacency,
 )
 from elltowers.cyclotomic import CycInt
-from elltowers.lfunctions import TowerCalculator, _character_value
+from elltowers.lfunctions import TowerCalculator
+from elltowers.series import char_poly, character_value
 
 from conftest import fixture_spec, random_connected_spec
 
@@ -67,20 +68,18 @@ def test_l_value_examples():
     assert l_value_at_one(E1, 1, CharacterIndex(1, (1, 1))) == CycInt.integer(2, 1, 8)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_bouquet_epsilon_sum_matches_determinant(seed):
-    # the epsilon-sum fast path equals the determinant route on bouquets
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2, 3)))
+def test_char_poly_values_match_determinant(seed, d):
+    # P specialized at a character equals the twisted determinant oracle,
+    # on bouquets and on bases with several vertices, at levels 0..2
     rng = random.Random(seed)
-    loops = rng.randint(2, 4)
-    g = build_graph(1, [(0, 0)] * loops)
-    ell = rng.choice((2, 3))
-    alpha = tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(loops))
-    spec = VoltageSpec(g, default_section(g), alpha, ell, 2)
-    n = rng.randint(1, 2)
-    m = ell**n
-    vec = tuple(rng.randrange(m) for _ in range(2))
-    assert _character_value(spec, n, vec) == l_value_at_one(spec, n, CharacterIndex(n, vec))
+    spec = random_connected_spec(rng, max_vertices=4, d=d)
+    poly = char_poly(spec)
+    for n in range(3):
+        m = spec.ell**n
+        vec = tuple(rng.randrange(m) for _ in range(d))
+        assert character_value(poly, spec.ell, n, vec) == l_value_at_one(spec, n, CharacterIndex(n, vec))
 
 
 def test_orbit_enumeration_small_cases():
@@ -158,8 +157,9 @@ def test_orbit_ord_sum_example_four():
 def test_vanishing_value_signals_disconnection():
     g = build_graph(1, [(0, 0), (0, 0)])
     bad = VoltageSpec(g, default_section(g), ((2, 0), (0, 1)), 2, 2)
-    # the orbit of (1, 0) sees both voltages as 0 mod 2
-    with pytest.raises(VanishingLValueError):
+    # the orbit of (1, 0) sees both voltages as 0 mod 2; the connectivity
+    # check rejects the tower before any value is computed
+    with pytest.raises(DisconnectedCoverError):
         orbit_records(bad, 1)
 
 
@@ -211,8 +211,6 @@ def test_digit_limit_suppresses_large_norms():
 def test_calculator_rejects_bad_towers():
     g = build_graph(1, [(0, 0), (0, 0)])
     bad = VoltageSpec(g, default_section(g), ((2, 0), (0, 1)), 2, 2)
-    from elltowers import DisconnectedCoverError
-
     with pytest.raises(DisconnectedCoverError):
         TowerCalculator(bad)
     c3 = build_graph(3, [(0, 1), (1, 2), (2, 0)])

@@ -17,42 +17,16 @@ from elltowers import (
     iwasawa_invariants_d1,
     l_value_at_one,
     q_series,
-    rho_series,
     valuation_sequence,
     verify_fit,
 )
+from elltowers.series import char_poly
+from elltowers.treecount import ord_prime
 
-from conftest import fixture_spec, random_connected_spec
+from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec
+from test_acceptance import FITS
 
 E1 = fixture_spec("bouquet2_ell2")
-
-
-def test_rho_examples():
-    assert rho_series((0, 0), 5) == TruncatedSeries(2, 5, {(0, 0): 1})
-    assert rho_series((2,), 2) == TruncatedSeries(1, 2, {(0,): 1, (1,): -2, (2,): 1})
-    assert rho_series((-1,), 3) == TruncatedSeries(1, 3, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
-
-
-def test_rho_exact_polynomial_for_nonnegative_exponents():
-    # (1 - T1)^2 (1 - T2) expanded exactly
-    expanded = rho_series((2, 1), 4)
-    assert expanded == TruncatedSeries(
-        2, 4, {(0, 0): 1, (0, 1): -1, (1, 0): -2, (1, 1): 2, (2, 0): 1, (2, 1): -1}
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=2),
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=2),
-)
-def test_rho_is_a_morphism(a, b):
-    if len(a) != len(b):
-        return
-    cap = 6
-    lhs = rho_series(tuple(x + y for x, y in zip(a, b)), cap)
-    rhs = rho_series(tuple(a), cap) * rho_series(tuple(b), cap)
-    assert lhs == rhs
 
 
 def test_q_series_constant_term_vanishes():
@@ -64,6 +38,26 @@ def test_q_series_constant_term_vanishes():
 def test_q_series_leading_form_example_one():
     q = q_series(E1, 2)
     assert q.coeffs == {(2, 0): -1, (0, 2): -1}
+
+
+def test_q_series_non_bouquet_pinned():
+    # two vertices, a loop and two parallel edges; the coefficients were
+    # computed by a determinant over the truncated power-series ring,
+    # independently of P
+    g = build_graph(2, [(0, 1), (0, 1), (0, 0)])
+    spec = VoltageSpec(g, default_section(g), ((1, 0), (0, 1), (1, 1)), 2, 2)
+    assert q_series(spec, 3).coeffs == {
+        (0, 2): -3, (0, 3): -3, (1, 1): -2, (1, 2): -1, (2, 0): -3, (2, 1): -1, (3, 0): -3,
+    }
+
+
+def test_mu_of_char_poly_matches_fitted_leading_coefficient():
+    # Cuoco-Monsky: the least ell-adic valuation among P's coefficients is
+    # the coefficient of (ell^n)^d in the growth polynomial
+    for name in FIXTURE_NAMES:
+        spec = fixture_spec(name)
+        mu = min(ord_prime(abs(c), spec.ell) for c in char_poly(spec).terms.values())
+        assert mu == FITS[name][0][(spec.d, 0)], name
 
 
 def test_q_series_truncation_coherence():
