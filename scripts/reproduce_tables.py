@@ -27,6 +27,7 @@ from elltowers import (  # noqa: E402
     valuation_sequence,
     verify_fit,
 )
+from elltowers.cli import _nonnegative, _positive  # noqa: E402
 
 DEPTHS = {2: 10, 3: 7}
 
@@ -55,10 +56,10 @@ def run_fixture(path: Path, n_max_override, budget):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-max", type=int, default=None, help="override the table depth")
+    parser.add_argument("--n-max", type=_positive, default=None, help="override the table depth")
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_nonnegative,
         default=0,
         help="vertex budget for the matrix-tree cross-check (0 disables it)",
     )

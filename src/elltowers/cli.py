@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .fit import (
     RouteMismatchError,
@@ -74,35 +73,6 @@ def _resolve_budget(parser: argparse.ArgumentParser, args) -> None:
         args.budget = _nonnegative(os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET)))
     except argparse.ArgumentTypeError as err:
         parser.error(f"{BUDGET_ENV}: {err}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    spec_path: str
-    n_max: int | None = None
-    budget: int = DEFAULT_BUDGET
-    trunc: int | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    jobs: int = 1
-    level: int | None = None
-    layer: int | None = None
-    digit_limit: int = 0
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        spec_path=args.spec,
-        n_max=getattr(args, "n_max", None),
-        budget=getattr(args, "budget", DEFAULT_BUDGET),
-        trunc=getattr(args, "trunc", None),
-        fmt=getattr(args, "format", "csv"),
-        out=getattr(args, "out", None),
-        jobs=getattr(args, "jobs", 1),
-        level=getattr(args, "level", None),
-        layer=getattr(args, "layer", None),
-        digit_limit=getattr(args, "digit_limit", 0),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,8 +149,8 @@ def _monomial_label(k: int, j: int) -> str:
 # subcommands -------------------------------------------------------------------
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    spec = load_tower_spec_file(config.spec_path)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    spec = load_tower_spec_file(args.spec)
     report = validate_base(spec.base)
     conn = check_tower_connectivity(spec)
     for reason in report.reasons + conn.reasons:
@@ -215,40 +185,40 @@ def _render_rows(rows, fmt: str, meta=None) -> str:
     return buf.getvalue()
 
 
-def _compute_sequence(config: RunConfig, spec) -> ValuationSequence:
-    calc = TowerCalculator(spec, jobs=config.jobs)
-    if config.n_max == 0:
+def _compute_sequence(args: argparse.Namespace, spec) -> ValuationSequence:
+    calc = TowerCalculator(spec, jobs=args.jobs)
+    if args.n_max == 0:
         base = calc.base_tree_count()
         return ValuationSequence(spec.ell, spec.d, (SequenceEntry(0, base.ord_ell, "matrix-tree"),))
     entries = []
     t_prev = time.perf_counter()
-    for n in range(1, config.n_max + 1):
-        entries.append(sequence_entry(calc, n, config.budget))
+    for n in range(1, args.n_max + 1):
+        entries.append(sequence_entry(calc, n, args.budget))
         now = time.perf_counter()
         print(f"# layer {n}: {now - t_prev:.2f}s", file=sys.stderr)
         t_prev = now
     return ValuationSequence(spec.ell, spec.d, tuple(entries))
 
 
-def _cmd_table(config: RunConfig) -> int:
-    spec = load_tower_spec_file(config.spec_path)
-    seq = _compute_sequence(config, spec)
+def _cmd_table(args: argparse.Namespace) -> int:
+    spec = load_tower_spec_file(args.spec)
+    seq = _compute_sequence(args, spec)
     meta = {"ell": spec.ell, "d": spec.d}
-    _emit(_render_rows(_sequence_rows(seq), config.fmt, meta), config.out)
+    _emit(_render_rows(_sequence_rows(seq), args.format, meta), args.out)
     return 0
 
 
-def _cmd_fit(config: RunConfig) -> int:
-    spec = load_tower_spec_file(config.spec_path)
+def _cmd_fit(args: argparse.Namespace) -> int:
+    spec = load_tower_spec_file(args.spec)
     unknowns = len(monomial_basis(spec.d))
-    if config.n_max < unknowns:
-        print(f"need at least {unknowns} layers to fit (got {config.n_max})", file=sys.stderr)
+    if args.n_max < unknowns:
+        print(f"need at least {unknowns} layers to fit (got {args.n_max})", file=sys.stderr)
         return 1
-    seq = _compute_sequence(config, spec)
-    window = (config.n_max - unknowns + 1, config.n_max)
+    seq = _compute_sequence(args, spec)
+    window = (args.n_max - unknowns + 1, args.n_max)
     fit = fit_window(seq, window)
     if fit is None:
-        _emit("singular\n", config.out)
+        _emit("singular\n", args.out)
         return 1
     verified, residuals = verify_fit(fit, seq)
     stable = None
@@ -269,8 +239,8 @@ def _cmd_fit(config: RunConfig) -> int:
         "leading_coefficients_integral": leading_coefficients_integral(fit),
         "rows": _sequence_rows(seq),
     }
-    if config.fmt == "json":
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", config.out)
+    if args.format == "json":
+        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -281,7 +251,7 @@ def _cmd_fit(config: RunConfig) -> int:
         writer.writerow(["verified_range", f"{verified[0]}..{verified[1]}" if verified else "none"])
         writer.writerow(["stable", stable])
         writer.writerow(["formula", format_fit(fit)])
-        _emit(buf.getvalue(), config.out)
+        _emit(buf.getvalue(), args.out)
     suspicious = not leading_coefficients_integral(fit)
     if suspicious and stable:
         print("warning: stable fit with non-integral leading coefficients", file=sys.stderr)
@@ -290,9 +260,9 @@ def _cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_lvalues(config: RunConfig) -> int:
-    spec = load_tower_spec_file(config.spec_path)
-    records = orbit_records(spec, config.level, digit_limit=config.digit_limit)
+def _cmd_lvalues(args: argparse.Namespace) -> int:
+    spec = load_tower_spec_file(args.spec)
+    records = orbit_records(spec, args.level, digit_limit=args.digit_limit)
     rows = []
     for rec in records:
         rows.append(
@@ -303,13 +273,13 @@ def _cmd_lvalues(config: RunConfig) -> int:
                 "ord": rec.ord_ell,
             }
         )
-    _emit(_render_rows(rows, config.fmt, {"ell": spec.ell, "level": config.level}), config.out)
+    _emit(_render_rows(rows, args.format, {"ell": spec.ell, "level": args.level}), args.out)
     return 0
 
 
-def _cmd_qseries(config: RunConfig) -> int:
-    spec = load_tower_spec_file(config.spec_path)
-    series = q_series(spec, config.trunc)
+def _cmd_qseries(args: argparse.Namespace) -> int:
+    spec = load_tower_spec_file(args.spec)
+    series = q_series(spec, args.trunc)
     doc = {
         "variables": spec.d,
         "truncation": series.cap,
@@ -317,14 +287,14 @@ def _cmd_qseries(config: RunConfig) -> int:
             ",".join(map(str, expo)): str(c) for expo, c in sorted(series.coeffs.items())
         },
     }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", config.out)
+    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
-def _cmd_export_dot(config: RunConfig) -> int:
-    spec = load_tower_spec_file(config.spec_path)
-    layer = derived_graph(spec, config.layer, vertex_budget=config.budget)
-    _emit(derived_to_dot(layer), config.out)
+def _cmd_export_dot(args: argparse.Namespace) -> int:
+    spec = load_tower_spec_file(args.spec)
+    layer = derived_graph(spec, args.layer, vertex_budget=args.budget)
+    _emit(derived_to_dot(layer), args.out)
     return 0
 
 
@@ -343,8 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _resolve_budget(parser, args)
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](args)
     except (SpecFormatError, GraphInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

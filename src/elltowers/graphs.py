@@ -214,13 +214,14 @@ def graph_from_json(doc) -> MultiGraph:
         edges = doc["edges"]
     except KeyError as missing:
         raise GraphInputError(f"graph document is missing the {missing} field")
-    if not isinstance(vertices, int):
+    # type(x) is int, not isinstance: JSON booleans load as bool, an int subclass
+    if type(vertices) is not int:
         raise GraphInputError("'vertices' must be an integer")
     if not isinstance(edges, list):
         raise GraphInputError("'edges' must be a list of vertex pairs")
     pairs = []
     for idx, item in enumerate(edges):
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
             raise GraphInputError(f"edge #{idx} must be a pair of integers, got {item!r}")
         pairs.append((item[0], item[1]))
     return build_graph(vertices, pairs)

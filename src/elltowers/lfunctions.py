@@ -7,10 +7,10 @@ is det(D - A_psi), a cyclotomic integer.  Production code reads it off the
 tower's characteristic polynomial P(x) = det(D - A_x) (series.char_poly),
 computed once per TowerCalculator; twisted_adjacency and l_value_at_one
 build the twisted matrix directly and stay as the independent oracle the
-tests compare P against.  Characters fall into Galois
-orbits under the diagonal action of (Z/ell^n Z)^x; the product of the
-values over one orbit is a rational integer, equal to the norm of the
-value at any orbit member taken from the field its exact order generates.
+tests compare P against.  Characters fall into Galois orbits under the
+diagonal action of (Z/ell^n Z)^x; the product of the values over one
+orbit is a rational integer, equal to the norm of the value at any orbit
+member taken from the field its exact order generates.
 
 The tree-number identity used everywhere downstream:
 
@@ -18,8 +18,8 @@ The tree-number identity used everywhere downstream:
                           orbit values,
 
 so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum of the per-orbit
-pi-adic orders.  Orders are computed exactly (no norms needed); the full
-integers are computed on demand via resultants.
+pi-adic orders (exact, no norms needed; full integers come on demand via
+resultants).  The only cache is TowerCalculator's per-level orders and norms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .cyclotomic import (
@@ -61,11 +60,7 @@ class CharacterOrbit:
     def members(self) -> list[CharacterIndex]:
         m = self.ell**self.level
         rep = self.representative.vector
-        out = set()
-        for u in range(1, self.exact_order):
-            if u % self.ell == 0:
-                continue
-            out.add(tuple(u * x % m for x in rep))
+        out = {tuple(u * x % m for x in rep) for u in range(1, self.exact_order) if u % self.ell}
         return [CharacterIndex(self.level, v) for v in sorted(out)]
 
 
@@ -120,30 +115,35 @@ def l_value_at_one(spec: VoltageSpec, n: int, chi: CharacterIndex) -> CycInt:
 # orbit enumeration ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _primitive_orbit_reps(ell: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least members of the unit-group orbits on the
     primitive vectors modulo ell^k (those with a unit coordinate).
 
-    Each orbit contains exactly one vector whose first unit coordinate is
-    1; that normal form enumerates the orbits, and the minimum over the
-    phi(ell^k) members makes the representative canonical.
+    Each orbit contains exactly one vector v whose first unit coordinate is
+    1; that normal form enumerates the orbits.  If v's first nonzero
+    coordinate is ell^t * w, w a unit, it reads ell^t * (u w mod ell^(k-t))
+    in u * v, so the least member is u * v for some u = w^-1 mod ell^(k-t):
+    a coset of ell^t units, just {1} when that coordinate is the pivot.
     """
     m = ell**k
-    units = [u for u in range(1, m) if u % ell]
     reps = []
     for pivot in range(d):
         for prefix in product(range(0, m, ell), repeat=pivot):
             for suffix in product(range(m), repeat=d - 1 - pivot):
                 v = prefix + (1,) + suffix
-                reps.append(min(tuple(u * x % m for x in v) for u in units))
+                lead = next(x for x in v if x)
+                t = ord_prime(lead, ell)
+                step = ell ** (k - t)
+                coset = range(pow(lead // ell**t, -1, step), m, step)
+                reps.append(min(tuple(u * x % m for x in v) for u in coset))
     reps.sort()
     return tuple(reps)
 
 
 def enumerate_orbits(ell: int, n: int, d: int) -> list[CharacterOrbit]:
     """All Galois orbits of nontrivial characters of (Z/ell^n Z)^d,
-    grouped by exact order and sorted by representative."""
+    sorted by (exact order, representative): levels ascend, and scaling a
+    level's sorted representatives by ell^(n-k) keeps their order."""
     if n < 1:
         raise ValueError("need n >= 1")
     orbits = []
@@ -152,7 +152,6 @@ def enumerate_orbits(ell: int, n: int, d: int) -> list[CharacterOrbit]:
         for prim in _primitive_orbit_reps(ell, k, d):
             rep = CharacterIndex(n, tuple(scale * x for x in prim))
             orbits.append(CharacterOrbit(ell, n, rep, ell**k, phi_ell_power(ell, k)))
-    orbits.sort(key=lambda o: (o.exact_order, o.representative.vector))
     return orbits
 
 
@@ -160,30 +159,31 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     """All orbit records at layer n in canonical order: the pi-adic order
     of each orbit product, and its exact integer (a resultant norm).
 
-    The representative value is computed at the character's exact order
-    ell^k, so the norm is taken from that field: the degree drops from
-    phi(ell^n) to phi(ell^k), and the orbit product equals that norm.  A
-    positive digit limit skips integer values whose predicted size
-    (phi * log10 of the coefficient 1-norm, an upper bound) exceeds it;
-    orders stay exact.  The spec goes through TowerCalculator, so an
-    inadmissible base or a disconnected tower is rejected as in the tables.
+    An orbit of exact order ell^k takes its order from level_ords(k) and
+    its integer from the norm of its value at level k (degree phi(ell^k),
+    not phi(ell^n)), which equals the orbit product.  A positive digit
+    limit skips integer values whose predicted size (phi * log10 of the
+    coefficient 1-norm, an upper bound) exceeds it; orders stay exact.  The
+    spec goes through TowerCalculator, so an inadmissible base or a
+    disconnected tower is rejected as in the tables.
     """
     calc = TowerCalculator(spec)
+    orbits = iter(enumerate_orbits(spec.ell, n, spec.d))
     out = []
-    for orbit in enumerate_orbits(spec.ell, n, spec.d):
-        k = n
-        while spec.ell**k > orbit.exact_order:
-            k -= 1
-        scale = spec.ell ** (n - k)
-        value = calc.value(k, tuple(x // scale for x in orbit.representative.vector))
-        order = pi_adic_ord(value)
-        integer = None
-        if digit_limit <= 0 or _digit_bound(value) <= digit_limit:
-            integer = norm_to_int(value)
-            if integer <= 0 or ord_prime(integer, spec.ell) != order:
-                raise RuntimeError("norm and pi-adic order disagree; internal inconsistency")
-        out.append(LValueRecord(orbit, order, integer))
+    for k in range(1, n + 1):
+        for prim, order in zip(_primitive_orbit_reps(spec.ell, k, spec.d), calc.level_ords(k)):
+            value = calc.value(k, prim)
+            skip = 0 < digit_limit < _digit_bound(value)
+            out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
     return out
+
+
+def _checked_norm(value: CycInt, order: int) -> int:
+    """The norm of an orbit value, checked against its pi-adic order."""
+    integer = norm_to_int(value)
+    if integer <= 0 or ord_prime(integer, value.ell) != order:
+        raise RuntimeError("norm and pi-adic order disagree; internal inconsistency")
+    return integer
 
 
 def _digit_bound(value: CycInt) -> int:
@@ -204,8 +204,9 @@ class TowerCalculator:
 
     Level k data (values of characters of exact order ell^k) is the same
     for every layer n >= k, so the tables for n = 1..n_max cost one pass
-    per level, not one per layer.  Every value is a specialization of the
-    characteristic polynomial P, built on first use.
+    per level, not one per layer; this is the package's only cache.  Every
+    value is a specialization of the characteristic polynomial P, built on
+    first use.
     """
 
     def __init__(self, spec: VoltageSpec, jobs: int = 1):
@@ -246,7 +247,6 @@ class TowerCalculator:
             return got
         spec = self.spec
         prims = _primitive_orbit_reps(spec.ell, k, spec.d)
-        ords: list[int]
         if self.jobs > 1 and len(prims) >= 4 * self.jobs:
             chunks = [prims[i :: self.jobs] for i in range(self.jobs)]
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
@@ -262,12 +262,12 @@ class TowerCalculator:
         return result
 
     def level_norms(self, k: int) -> tuple[int, ...]:
+        """Norms of the exact-level-k orbit values, checked against level_ords(k)."""
         got = self._level_norms.get(k)
         if got is not None:
             return got
-        spec = self.spec
-        prims = _primitive_orbit_reps(spec.ell, k, spec.d)
-        norms = tuple(norm_to_int(self.value(k, p)) for p in prims)
+        prims = _primitive_orbit_reps(self.spec.ell, k, self.spec.d)
+        norms = tuple(_checked_norm(self.value(k, p), o) for p, o in zip(prims, self.level_ords(k)))
         self._level_norms[k] = norms
         return norms
 

@@ -309,13 +309,13 @@ def load_tower_spec(doc) -> VoltageSpec:
     ell = doc["ell"]
     d = doc["d"]
     alpha = doc["alpha"]
-    if not isinstance(ell, int) or not isinstance(d, int):
+    if type(ell) is not int or type(d) is not int:  # JSON booleans load as bool, an int subclass
         raise SpecFormatError("'ell' and 'd' must be integers")
     if not isinstance(alpha, list):
         raise SpecFormatError("'alpha' must be a list of integer vectors")
     rows = []
     for i, row in enumerate(alpha):
-        if not (isinstance(row, list) and all(isinstance(x, int) for x in row)):
+        if not (isinstance(row, list) and all(type(x) is int for x in row)):
             raise SpecFormatError(f"alpha[{i}] must be a list of integers")
         rows.append(tuple(row))
     return VoltageSpec(base, default_section(base), tuple(rows), ell, d)

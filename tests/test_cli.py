@@ -46,6 +46,12 @@ def test_malformed_json_exits_two(tmp_path):
     path.write_text("{not json")
     result = run_cli("validate", "--spec", str(path))
     assert result.returncode == 2
+    # JSON booleans where the format expects integers
+    doc = {"graph": {"vertices": 1, "edges": [[0, 0], [0, False]]}, "ell": 2, "d": True, "alpha": [[True], [0]]}
+    path.write_text(json.dumps(doc))
+    result = run_cli("table", "--spec", str(path), "--n-max", "3")
+    assert result.returncode == 2
+    assert "error:" in result.stderr
 
 
 def test_missing_file_exits_two():
@@ -162,6 +168,16 @@ def test_usage_error_exits_two(args):
     result = run_cli(*args)
     assert result.returncode == 2
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize("args", [("--n-max", "-2"), ("--n-max", "0"), ("--budget", "-1")])
+def test_reproduce_tables_rejects_bad_range(args):
+    # argparse rejects the value before any fixture runs
+    script = FIXTURES.parent / "scripts" / "reproduce_tables.py"
+    result = subprocess.run([sys.executable, str(script), *args], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    assert result.stdout == ""
 
 
 def test_budget_env():

@@ -141,6 +141,11 @@ def test_json_rejects_bad_documents():
         graph_from_json({"vertices": 2, "edges": [[0, 1, 2]]})
     with pytest.raises(GraphInputError):
         graph_from_json([1, 2])
+    # JSON booleans are not integers
+    with pytest.raises(GraphInputError):
+        graph_from_json({"vertices": True, "edges": [[0, 0]]})
+    with pytest.raises(GraphInputError):
+        graph_from_json({"vertices": 1, "edges": [[0, 0], [0, False]]})
 
 
 def test_dot_export_lists_parallel_edges():

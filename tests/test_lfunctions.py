@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from elltowers import (
     twisted_adjacency,
 )
 from elltowers.cyclotomic import CycInt
-from elltowers.lfunctions import TowerCalculator
+from elltowers.lfunctions import TowerCalculator, _primitive_orbit_reps
 from elltowers.series import char_poly, character_value
 
 from conftest import fixture_spec, random_connected_spec
@@ -118,6 +119,8 @@ def test_orbits_partition_the_nontrivial_indices(ell, n, d):
     if ell**(n * d) > 2500:
         return
     orbits = enumerate_orbits(ell, n, d)
+    keys = [(o.exact_order, o.representative.vector) for o in orbits]
+    assert keys == sorted(keys)
     seen = set()
     for o in orbits:
         members = o.members()
@@ -135,6 +138,21 @@ def test_representative_is_lexicographically_least():
     for ell, n, d in ((2, 3, 2), (3, 2, 2), (2, 4, 1)):
         for o in enumerate_orbits(ell, n, d):
             assert o.representative.vector == min(m.vector for m in o.members())
+    # against the minimum over all phi(ell^k) units of each normal form
+    # (first unit coordinate 1); ell = 2 with k >= 4 has cosets with k - t = 1
+    for ell, d in product((2, 3, 5, 7), (1, 2, 3)):
+        for k in range(1, 8):
+            m = ell**k
+            if m ** (d + 1) > 2 * 10**5:
+                break
+            units = [u for u in range(1, m) if u % ell]
+            brute = []
+            for pivot in range(d):
+                for prefix in product(range(0, m, ell), repeat=pivot):
+                    for suffix in product(range(m), repeat=d - 1 - pivot):
+                        v = prefix + (1,) + suffix
+                        brute.append(min(tuple(u * x % m for x in v) for u in units))
+            assert _primitive_orbit_reps(ell, k, d) == tuple(sorted(brute)), (ell, k, d)
 
 
 def test_orbit_values_example_one():
@@ -180,8 +198,15 @@ def test_orbit_integer_values_positive():
     rng = random.Random(5)
     specs = [E1, E4] + [random_connected_spec(rng, max_vertices=3) for _ in range(4)]
     for spec in specs:
-        for rec in orbit_records(spec, 2):
+        records = orbit_records(spec, 2)
+        for rec in records:
             assert rec.integer_value is not None and rec.integer_value > 0
+        # each level's records carry the calculator's orders and norms
+        calc = TowerCalculator(spec)
+        for k in (1, 2):
+            level = [rec for rec in records if rec.orbit.exact_order == spec.ell**k]
+            assert tuple(rec.ord_ell for rec in level) == calc.level_ords(k)
+            assert tuple(rec.integer_value for rec in level) == calc.level_norms(k)
 
 
 def test_route_equivalence_on_random_specs():

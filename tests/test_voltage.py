@@ -244,6 +244,18 @@ def test_load_tower_spec_rejects_garbage():
         load_tower_spec({"graph": {"vertices": 1, "edges": [[0, 0]]}, "ell": 2, "d": 2})
     with pytest.raises(SpecFormatError):
         load_tower_spec({"graph": {"vertices": 1, "edges": [[0, 0]]}, "ell": 2, "d": 2, "alpha": [[1, "x"]]})
+    # JSON booleans are not integers, in the graph or in the tower fields
+    good = {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "ell": 2, "d": 1, "alpha": [[1], [0]]}
+    load_tower_spec(good)
+    for field, bad in (
+        ("graph", {"vertices": 1, "edges": [[0, 0], [0, False]]}),
+        ("graph", {"vertices": True, "edges": [[0, 0], [0, 0]]}),
+        ("ell", True),
+        ("d", True),
+        ("alpha", [[True], [0]]),
+    ):
+        with pytest.raises(SpecFormatError):
+            load_tower_spec({**good, field: bad})
 
 
 def test_dot_export_colors_fibers():
