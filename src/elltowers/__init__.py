@@ -54,8 +54,6 @@ from .lfunctions import (
 )
 from .series import (
     ClassicalPoint,
-    TruncatedSeries,
-    default_truncation,
     evaluate_at_classical_point,
     iwasawa_invariants_d1,
     q_series,

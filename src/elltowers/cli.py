@@ -114,9 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress integer values predicted to exceed this many digits (0 = no limit)",
     )
 
-    p = sub.add_parser("qseries", help="coefficients of the determinant series Q(T)")
+    p = sub.add_parser("qseries", help="exact coefficients of the determinant series Q(T) times a unit")
     common(p)
-    p.add_argument("--trunc", type=_nonnegative, default=None, help="total-degree truncation")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("export-dot", help="DOT rendering of one layer, fiber-colored")
@@ -229,10 +228,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "ell": spec.ell,
         "d": spec.d,
         "formula": format_fit(fit),
-        "coefficients": {
-            _monomial_label(k, j): f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
-            for (k, j), c in fit.coefficients.items()
-        },
+        "coefficients": {_monomial_label(k, j): str(c) for (k, j), c in fit.coefficients.items()},
         "window": list(fit.window),
         "verified_range": list(verified) if verified else None,
         "stable": stable,
@@ -246,7 +242,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["monomial", "coefficient"])
         for (k, j), c in fit.coefficients.items():
-            writer.writerow([_monomial_label(k, j), f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)])
+            writer.writerow([_monomial_label(k, j), str(c)])
         writer.writerow(["window", f"{fit.window[0]}..{fit.window[1]}"])
         writer.writerow(["verified_range", f"{verified[0]}..{verified[1]}" if verified else "none"])
         writer.writerow(["stable", stable])
@@ -279,13 +275,11 @@ def _cmd_lvalues(args: argparse.Namespace) -> int:
 
 def _cmd_qseries(args: argparse.Namespace) -> int:
     spec = load_tower_spec_file(args.spec)
-    series = q_series(spec, args.trunc)
+    unit_exponents, q = q_series(spec)
     doc = {
         "variables": spec.d,
-        "truncation": series.cap,
-        "coefficients": {
-            ",".join(map(str, expo)): str(c) for expo, c in sorted(series.coeffs.items())
-        },
+        "unit_exponents": list(unit_exponents),
+        "coefficients": {",".join(map(str, expo)): str(c) for expo, c in sorted(q.terms.items())},
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -314,10 +308,7 @@ def main(argv=None) -> int:
     _resolve_budget(parser, args)
     try:
         return _COMMANDS[args.command](args)
-    except (SpecFormatError, GraphInputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (SpecFormatError, GraphInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RouteMismatchError as err:

@@ -162,13 +162,6 @@ class IharaPolynomial:
             acc = acc * u + i * self.coeffs[i]
         return acc
 
-    @property
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
-
 
 def ihara_h(g: MultiGraph) -> IharaPolynomial:
     """The three-term determinant polynomial of the graph.

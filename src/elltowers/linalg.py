@@ -150,8 +150,9 @@ def det_mod_prime(mat: np.ndarray, p: int) -> int:
     Gaussian elimination over F_p with lazy reduction: entries are kept as
     arbitrary int64 representatives of their residue classes and only the
     pivot column and pivot row are reduced each step, so the O(n^3) bulk
-    is pure multiply-subtract.  Safe for n up to 8192: an entry absorbs at
-    most n products below 2^50 plus its own value.
+    is pure multiply-subtract.  Safe for n up to 4096 at every p < 2^25: an
+    entry absorbs at most n products below 2^50 plus its own value, and
+    the guard below refuses larger n at the first prime the CRT loop takes.
     """
     a = np.mod(mat, p).astype(np.int64)
     n = a.shape[0]

@@ -12,17 +12,15 @@ value the package needs is a specialization of P:
 * the classical point (1 - zeta^(a_1), ..., 1 - zeta^(a_d)) of the unit
   polydisk is the same substitution written in T_i = 1 - x_i
   (evaluate_at_classical_point);
-* x_i = 1 - T_i, expanded as power series in T, gives the determinant
-  series Q(T) = det(D - A_rho) with rho(a) = prod_i (1 - T_i)^(a_i)
-  (q_series).
-
-Values are exact.  Only the listing of Q's coefficients has a window
-(total degree at most a cap), and no value is ever computed from it.
+* x_i = 1 - T_i gives the determinant series Q(T) = det(D - A_rho) with
+  rho(a) = prod_i (1 - T_i)^(a_i); after P is multiplied by the monomial
+  x^m that clears its negative powers, the same substitution gives the
+  exact polynomial prod_i (1 - T_i)^(m_i) Q(T) (q_series).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .cyclotomic import CycInt, phi_ell_power
@@ -108,65 +106,32 @@ def character_value(poly: LaurentPoly, ell: int, level: int, avec) -> CycInt:
 # the determinant series Q(T) ----------------------------------------------------
 
 
-@dataclass
-class TruncatedSeries:
-    """The coefficients of a d-variable power series up to total degree
-    cap; exponents not listed have coefficient zero."""
+def q_series(spec: VoltageSpec) -> tuple[tuple[int, ...], LaurentPoly]:
+    """The determinant series Q(T) = P(1 - T_1, ..., 1 - T_d) as the pair
+    (m, Q^) with m_i = max(0, -(least exponent of x_i in P)) and
+    Q^ = x^m P(x) at x_i = 1 - T_i, a polynomial in T.
 
-    num_vars: int
-    cap: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if any(len(expo) != self.num_vars for expo in self.coeffs):
-            raise ValueError("exponent arity mismatch")
-        self.coeffs = {tuple(e): c for e, c in self.coeffs.items() if c and sum(e) <= self.cap}
-
-    def coefficient(self, expo) -> int:
-        return self.coeffs.get(tuple(expo), 0)
-
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        if cap > self.cap:
-            raise ValueError("cannot extend a truncation")
-        return TruncatedSeries(self.num_vars, cap, dict(self.coeffs))
-
-
-def default_truncation(spec: VoltageSpec) -> int:
-    """Heuristic coefficient window: generous enough to expose the
-    lambda-relevant coefficients in the worked one-variable cases."""
-    biggest = max(sum(abs(a) for a in row) for row in spec.alpha)
-    return 2 * biggest * spec.ell + 8
-
-
-def _one_minus_t_coefficient(a: int, t: int) -> int:
-    """The coefficient of T^t in (1 - T)^a; the geometric series handles
-    a < 0."""
-    return (-1) ** t * comb(a, t) if a >= 0 else comb(t - a - 1, t)
-
-
-def q_series(spec: VoltageSpec, cap: int | None = None) -> TruncatedSeries:
-    """Q(T) = P(1 - T_1, ..., 1 - T_d) up to total degree cap.  The term
-    c x^e contributes c * prod_i [T_i^(t_i)] (1 - T_i)^(e_i) to the
+    Q^ = prod_i (1 - T_i)^(m_i) Q(T), and that factor is a unit of
+    Z_ell[[T]], so Q^ has Q's lowest-degree form and mu and, for d = 1,
+    Q's lambda; Q itself is Q^ times prod_i (1 - T_i)^(-m_i).  The term
+    c x^e contributes c * prod_i [T_i^(t_i)] (1 - T_i)^(e_i + m_i) to the
     coefficient of T^t.  The constant term is P(1, ..., 1) = det(D - A) = 0."""
-    if cap is None:
-        cap = default_truncation(spec)
     poly = char_poly(spec)
     if sum(poly.terms.values()):
         raise RuntimeError("constant term of Q should vanish (singular Laplacian)")
+    m = tuple(max(0, -min((e[i] for e in poly.terms), default=0)) for i in range(spec.d))
     coeffs: dict = {}
     for e, c in poly.terms.items():
         partial = {(): c}
-        for a in e:
-            row = [_one_minus_t_coefficient(a, t) for t in range(cap + 1)]
+        for a in map(sum, zip(e, m)):
             partial = {
-                key + (t,): v * row[t]
+                key + (t,): v * (-1) ** t * comb(a, t)
                 for key, v in partial.items()
-                for t in range(cap + 1 - sum(key))
-                if row[t]
+                for t in range(a + 1)
             }
         for key, v in partial.items():
             coeffs[key] = coeffs.get(key, 0) + v
-    return TruncatedSeries(spec.d, cap, coeffs)
+    return m, LaurentPoly(coeffs)
 
 
 # exact evaluation at classical points ------------------------------------------
@@ -184,8 +149,7 @@ class ClassicalPoint:
 
 def evaluate_at_classical_point(spec: VoltageSpec, point: ClassicalPoint) -> CycInt:
     """Exact value of Q at a classical point, i.e. P at x_i = zeta^(a_i).
-    No truncation is involved, so this equals the twisted special value on
-    the nose."""
+    This equals the twisted special value on the nose."""
     if len(point.exponents) != spec.d:
         raise ValueError("point arity does not match the tower rank")
     return character_value(char_poly(spec), point.ell, point.level, point.exponents)
@@ -194,22 +158,18 @@ def evaluate_at_classical_point(spec: VoltageSpec, point: ClassicalPoint) -> Cyc
 # one-variable Weierstrass data --------------------------------------------------
 
 
-def iwasawa_invariants_d1(q: TruncatedSeries, ell: int):
-    """(mu, lambda) of a one-variable series from its computed window.
+def iwasawa_invariants_d1(q: LaurentPoly, ell: int) -> tuple[int, int]:
+    """(mu, lambda) of a nonzero one-variable polynomial in T, such as the
+    Q^ of q_series.
 
-    mu is the least coefficient valuation seen; lambda the least index
-    carrying a unit coefficient of q / ell^mu.  Returns None when no
-    computed coefficient of q / ell^mu is a unit (the window cannot
-    certify lambda).  Both numbers are relative to the window: a
-    coefficient beyond the truncation can always lower mu.
+    mu is the least ell-adic valuation of a coefficient and lambda the
+    least index carrying a unit coefficient of q / ell^mu; by Weierstrass
+    preparation these are the invariants of q, and of Q for d = 1 since
+    Q^ is Q times a unit.
     """
-    if q.num_vars != 1:
-        raise ValueError("one-variable series required")
-    dense = [q.coefficient((i,)) for i in range(q.cap + 1)]
-    if not any(dense):
-        raise ValueError("series is zero to the computed precision")
-    mu = min(ord_prime(abs(c), ell) for c in dense if c)
-    for i, c in enumerate(dense):
-        if c and ord_prime(abs(c), ell) == mu:
-            return mu, i
-    return None
+    if any(len(e) != 1 or e[0] < 0 for e in q.terms):
+        raise ValueError("one-variable polynomial in T required")
+    if not q:
+        raise ValueError("zero polynomial has no Iwasawa invariants")
+    mu = min(ord_prime(abs(c), ell) for c in q.terms.values())
+    return mu, min(t for (t,), c in q.terms.items() if ord_prime(abs(c), ell) == mu)

@@ -327,6 +327,8 @@ def load_tower_spec_file(path) -> VoltageSpec:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise SpecFormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}") from err
+        except UnicodeDecodeError as err:
+            raise SpecFormatError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
     return load_tower_spec(doc)
 
 

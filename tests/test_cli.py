@@ -43,9 +43,12 @@ def test_validate_non_generating_voltages(tmp_path):
 
 def test_malformed_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    result = run_cli("validate", "--spec", str(path))
-    assert result.returncode == 2
+    for content in (b"{not json", b'{"ell": "\xff"}'):
+        path.write_bytes(content)
+        result = run_cli("validate", "--spec", str(path))
+        assert result.returncode == 2
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
     # JSON booleans where the format expects integers
     doc = {"graph": {"vertices": 1, "edges": [[0, 0], [0, False]]}, "ell": 2, "d": True, "alpha": [[True], [0]]}
     path.write_text(json.dumps(doc))
@@ -54,9 +57,12 @@ def test_malformed_json_exits_two(tmp_path):
     assert "error:" in result.stderr
 
 
-def test_missing_file_exits_two():
-    result = run_cli("validate", "--spec", "/nonexistent/spec.json")
-    assert result.returncode == 2
+def test_missing_file_exits_two(tmp_path):
+    for path in ("/nonexistent/spec.json", str(tmp_path)):
+        result = run_cli("validate", "--spec", path)
+        assert result.returncode == 2
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 def test_table_csv_and_determinism(tmp_path):
@@ -132,10 +138,11 @@ def test_lvalues_digit_limit():
 
 
 def test_qseries_command():
-    result = run_cli("qseries", "--spec", E1, "--trunc", "2")
+    result = run_cli("qseries", "--spec", E1)
     assert result.returncode == 0
     doc = json.loads(result.stdout)
-    assert doc["coefficients"] == {"0,2": "-1", "2,0": "-1"}
+    assert doc["unit_exponents"] == [1, 1]
+    assert doc["coefficients"] == {"0,2": "-1", "1,2": "1", "2,0": "-1", "2,1": "1"}
 
 
 def test_export_dot(tmp_path):
@@ -160,7 +167,7 @@ def test_export_dot_budget_error():
         pytest.param(("fit", "--spec", E1, "--n-max", "5", "--budget", "-1"), id="budget-negative"),
         pytest.param(("lvalues", "--spec", E1, "--level", "0"), id="level-0"),
         pytest.param(("export-dot", "--spec", E1, "--layer", "-1"), id="layer-negative"),
-        pytest.param(("qseries", "--spec", E1, "--trunc", "-1"), id="trunc-negative"),
+        pytest.param(("qseries", "--spec", E1, "--trunc", "6"), id="trunc-removed"),
         pytest.param(("lvalues", "--spec", E1, "--level", "2", "--digit-limit", "-5"), id="digit-limit-negative"),
     ],
 )

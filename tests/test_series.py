@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 from elltowers import (
     CharacterIndex,
     ClassicalPoint,
-    TruncatedSeries,
     VoltageSpec,
     build_graph,
     default_section,
-    default_truncation,
     evaluate_at_classical_point,
     fit_window,
     iwasawa_invariants_d1,
     l_value_at_one,
+    load_tower_spec,
     q_series,
     valuation_sequence,
     verify_fit,
 )
-from elltowers.series import char_poly
+from elltowers.series import LaurentPoly, char_poly
 from elltowers.treecount import ord_prime
 
 from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec
@@ -31,24 +30,34 @@ E1 = fixture_spec("bouquet2_ell2")
 
 def test_q_series_constant_term_vanishes():
     for name in ("bouquet2_ell2", "bouquet2_ell3"):
-        q = q_series(fixture_spec(name), 4)
-        assert q.coefficient((0, 0)) == 0
+        _, q = q_series(fixture_spec(name))
+        assert (0, 0) not in q.terms
 
 
 def test_q_series_leading_form_example_one():
-    q = q_series(E1, 2)
-    assert q.coeffs == {(2, 0): -1, (0, 2): -1}
+    # P = 4 - x1 - 1/x1 - x2 - 1/x2, so x1 x2 P at x_i = 1 - T_i
+    m, q = q_series(E1)
+    assert m == (1, 1)
+    assert q.terms == {(2, 0): -1, (0, 2): -1, (2, 1): 1, (1, 2): 1}
 
 
 def test_q_series_non_bouquet_pinned():
     # two vertices, a loop and two parallel edges; the coefficients were
     # computed by a determinant over the truncated power-series ring,
-    # independently of P
+    # independently of P; q_series returns them times (1 - T1)(1 - T2)
     g = build_graph(2, [(0, 1), (0, 1), (0, 0)])
     spec = VoltageSpec(g, default_section(g), ((1, 0), (0, 1), (1, 1)), 2, 2)
-    assert q_series(spec, 3).coeffs == {
+    q_to_degree_3 = {
         (0, 2): -3, (0, 3): -3, (1, 1): -2, (1, 2): -1, (2, 0): -3, (2, 1): -1, (3, 0): -3,
     }
+    expected = {}
+    for (i, j), c in q_to_degree_3.items():
+        for (di, dj), sign in (((0, 0), 1), ((1, 0), -1), ((0, 1), -1), ((1, 1), 1)):
+            if i + di + j + dj <= 3:
+                expected[(i + di, j + dj)] = expected.get((i + di, j + dj), 0) + sign * c
+    m, q = q_series(spec)
+    assert m == (1, 1)
+    assert {e: c for e, c in q.terms.items() if sum(e) <= 3} == {e: c for e, c in expected.items() if c}
 
 
 def test_mu_of_char_poly_matches_fitted_leading_coefficient():
@@ -58,18 +67,6 @@ def test_mu_of_char_poly_matches_fitted_leading_coefficient():
         spec = fixture_spec(name)
         mu = min(ord_prime(abs(c), spec.ell) for c in char_poly(spec).terms.values())
         assert mu == FITS[name][0][(spec.d, 0)], name
-
-
-def test_q_series_truncation_coherence():
-    lo = q_series(E1, 4)
-    hi = q_series(E1, 7)
-    assert hi.truncate(4) == lo
-
-
-def test_default_truncation_rule():
-    assert default_truncation(E1) == 2 * 1 * 2 + 8
-    skew = fixture_spec("bouquet4_ell2_skew")
-    assert default_truncation(skew) == 2 * 6 * 2 + 8
 
 
 def test_classical_point_trivial_is_zero():
@@ -97,24 +94,27 @@ def test_classical_point_matches_l_value(seed):
 
 def test_iwasawa_examples():
     # ell^2 (T^3 + ell T): content 2, distinguished part of degree 3
-    q = TruncatedSeries(1, 6, {(1,): 8, (3,): 4})
+    q = LaurentPoly({(1,): 8, (3,): 4})
     assert iwasawa_invariants_d1(q, 2) == (2, 3)
-    q = TruncatedSeries(1, 6, {(2,): 1, (4,): 2})
+    q = LaurentPoly({(2,): 1, (4,): 2})
     assert iwasawa_invariants_d1(q, 2) == (0, 2)
-    unit = TruncatedSeries(1, 6, {(0,): 1, (1,): 6})
+    unit = LaurentPoly({(0,): 1, (1,): 6})
     assert iwasawa_invariants_d1(unit, 2) == (0, 0)
 
 
 def test_iwasawa_guards():
     with pytest.raises(ValueError):
-        iwasawa_invariants_d1(TruncatedSeries(1, 4, {}), 2)
+        iwasawa_invariants_d1(LaurentPoly({}), 2)
     with pytest.raises(ValueError):
-        iwasawa_invariants_d1(TruncatedSeries(2, 4, {(1, 0): 1}), 2)
+        iwasawa_invariants_d1(LaurentPoly({(1, 0): 1}), 2)
+    with pytest.raises(ValueError):
+        iwasawa_invariants_d1(LaurentPoly({(-1,): 1}), 2)
 
 
 def test_q_series_one_variable_matches_direct_expansion():
     # independent oracle: expand 4 - (1-T) - (1-T)^{-1} - (1-T)^3 - (1-T)^{-3}
-    # with hand-rolled dense polynomial arithmetic up to degree 10
+    # with hand-rolled dense polynomial arithmetic up to degree 10, then
+    # multiply by (1-T)^3, the unit that clears x^{-3}
     cap = 10
 
     def geom_inverse_power(p):
@@ -134,10 +134,15 @@ def test_q_series_one_variable_matches_direct_expansion():
         for t, c in enumerate(coeffs):
             expected[t] -= c
 
+    cube = poly_power(3)
+    expected = [sum(expected[s] * cube[t - s] for s in range(t + 1)) for t in range(cap + 1)]
+
     g = build_graph(1, [(0, 0), (0, 0)])
     spec = VoltageSpec(g, default_section(g), ((1,), (3,)), 2, 1)
-    q = q_series(spec, cap)
-    assert [q.coefficient((t,)) for t in range(cap + 1)] == expected
+    m, q = q_series(spec)
+    assert m == (3,)
+    assert max(t for (t,) in q.terms) <= cap
+    assert [q.terms.get((t,), 0) for t in range(cap + 1)] == expected
 
 
 def test_one_variable_tower_consistency():
@@ -145,19 +150,31 @@ def test_one_variable_tower_consistency():
     series has an automatic zero at T = 0 (trivial character), so the
     tower's linear coefficient is lambda(Q) - 1."""
     g = build_graph(1, [(0, 0), (0, 0)])
-    spec = VoltageSpec(g, default_section(g), ((1,), (3,)), 2, 1)
-    q = q_series(spec)
-    mu, lam_q = iwasawa_invariants_d1(q, 2)
-    seq = valuation_sequence(spec, 8, matrix_tree_budget=70)
-    fit = fit_window(seq, (6, 8))
-    verified, _ = verify_fit(fit, seq)
-    coeffs = fit.coefficients
-    assert coeffs[(1, 0)] == mu
-    assert coeffs[(0, 1)] == lam_q - 1
-    assert coeffs[(0, 0)].denominator == 1
-    assert verified is not None and verified[0] <= 6
-    # spot check the closed form against the table
-    nu = coeffs[(0, 0)]
-    for entry in seq.entries:
-        if entry.n >= verified[0]:
-            assert entry.ord_ell == mu * 2**entry.n + (lam_q - 1) * entry.n + nu
+    bouquet = VoltageSpec(g, default_section(g), ((1,), (3,)), 2, 1)
+    # lambda = 32 lies past the old heuristic coefficient window of 28,
+    # which reported (1, 18)
+    wide = load_tower_spec(
+        {
+            "graph": {"vertices": 4, "edges": [[2, 0], [3, 2], [1, 0], [3, 0], [3, 1]]},
+            "ell": 2,
+            "d": 1,
+            "alpha": [[5], [5], [-4], [-1], [-2]],
+        }
+    )
+    for spec, expected in ((bouquet, (0, 6)), (wide, (0, 32))):
+        _, q = q_series(spec)
+        mu, lam_q = iwasawa_invariants_d1(q, 2)
+        assert (mu, lam_q) == expected
+        seq = valuation_sequence(spec, 8, matrix_tree_budget=70)
+        fit = fit_window(seq, (6, 8))
+        verified, _ = verify_fit(fit, seq)
+        coeffs = fit.coefficients
+        assert coeffs[(1, 0)] == mu
+        assert coeffs[(0, 1)] == lam_q - 1
+        assert coeffs[(0, 0)].denominator == 1
+        assert verified is not None and verified[0] <= 6
+        # spot check the closed form against the table
+        nu = coeffs[(0, 0)]
+        for entry in seq.entries:
+            if entry.n >= verified[0]:
+                assert entry.ord_ell == mu * 2**entry.n + (lam_q - 1) * entry.n + nu
