@@ -275,6 +275,7 @@ def _cmd_lvalues(args: argparse.Namespace) -> int:
 
 def _cmd_qseries(args: argparse.Namespace) -> int:
     spec = load_tower_spec_file(args.spec)
+    TowerCalculator(spec)  # the base and tower checks that table makes
     unit_exponents, q = q_series(spec)
     doc = {
         "variables": spec.d,

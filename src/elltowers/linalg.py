@@ -3,6 +3,13 @@
 Everything returned from this module is exact.  Floating point shows up only
 inside the Hadamard bound estimate for the modular determinant, where it is
 padded conservatively before being used to pick how many primes to take.
+
+The modular determinant orders the matrix by reverse Cuthill-McKee of the
+pattern of A + A^T, then eliminates modulo each prime inside the band of
+width w = max |i - j| over the nonzeros: step k touches rows k+1..k+w and
+columns up to k+2w.  Dense elimination is the case w = n - 1, and the
+lazy-reduction guard, which bounds the products one entry absorbs by n,
+holds as w < n.
 """
 
 from __future__ import annotations
@@ -147,35 +154,72 @@ _MOD_PRIME_BITS = 25  # row updates accumulate n products of < 2^50 in int64
 def det_mod_prime(mat: np.ndarray, p: int) -> int:
     """Determinant of an integer matrix modulo a prime p < 2^25.
 
-    Gaussian elimination over F_p with lazy reduction: entries are kept as
-    arbitrary int64 representatives of their residue classes and only the
-    pivot column and pivot row are reduced each step, so the O(n^3) bulk
-    is pure multiply-subtract.  Safe for n up to 4096 at every p < 2^25: an
-    entry absorbs at most n products below 2^50 plus its own value, and
-    the guard below refuses larger n at the first prime the CRT loop takes.
+    Gaussian elimination over F_p inside the band.  With bandwidth
+    w = max |i - j| over the nonzero entries, no row below k + w has a
+    nonzero in column k, and partial pivoting keeps the lower bandwidth at
+    w and the upper at most 2w; so step k searches its pivot in rows
+    k..k+w and touches only rows k+1..k+w and columns up to k+2w.  Dense
+    elimination is the case w = n - 1.  Reduction is lazy: entries are
+    kept as arbitrary int64 representatives of their residue classes and
+    only the pivot column and pivot row are reduced each step, so the bulk
+    is pure multiply-subtract.  The guard bounds what one entry can hold:
+    its own value plus at most one product below 2^50 per step, n in all,
+    which the band only lowers.  That is safe for n up to 4096 at every
+    p < 2^25, and the guard refuses larger n at the first prime the CRT
+    loop takes.
     """
     a = np.mod(mat, p).astype(np.int64)
     n = a.shape[0]
     if n * (p - 1) ** 2 + p >= 1 << 62:
         raise ValueError("matrix too large for lazy-reduction elimination at this prime")
+    rows, cols = np.nonzero(a)
+    w = int(np.abs(rows - cols).max()) if rows.size else 0
     det = 1
     for k in range(n):
-        a[k:, k] %= p
-        nz = np.nonzero(a[k:, k])[0]
+        low, right = k + w + 1, k + 2 * w + 1
+        col = a[k:low, k]
+        col %= p
+        nz = col.nonzero()[0]
         if nz.size == 0:
             return 0
         i = k + int(nz[0])
         if i != k:
-            a[[k, i]] = a[[i, k]]
+            a[[k, i], k:right] = a[[i, k], k:right]
             det = -det
-        a[k, k:] %= p
+        a[k, k:right] %= p
         pivot = int(a[k, k])
         det = det * pivot % p
         if k + 1 < n:
-            inv = pow(pivot, -1, p)
-            factors = a[k + 1:, k] * inv % p
-            a[k + 1:, k + 1:] -= np.outer(factors, a[k, k + 1:])
+            factors = a[k + 1:low, k] * pow(pivot, -1, p) % p
+            a[k + 1:low, k + 1:right] -= factors[:, None] * a[k, k + 1:right]
     return det % p
+
+
+def _rcm_order(pattern: np.ndarray) -> list[int]:
+    """Reverse Cuthill-McKee order of a symmetric boolean pattern.
+
+    Breadth-first search from a least-degree vertex of each component,
+    taking neighbours by increasing degree, then reversed (Cuthill and
+    McKee 1969; George and Liu 1981).  It reads the pattern only.
+    """
+    adj = [np.flatnonzero(row).tolist() for row in pattern]
+    degree = [len(nbrs) for nbrs in adj]
+    seen = [False] * len(adj)
+    order = []
+    head = 0
+    for start in sorted(range(len(adj)), key=degree.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for u in sorted(adj[v], key=degree.__getitem__):
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+    return order[::-1]
 
 
 def det_exact_modular(rows) -> int:
@@ -183,7 +227,9 @@ def det_exact_modular(rows) -> int:
 
     The number of primes is chosen so their product exceeds twice the
     Hadamard bound, which makes the centered CRT lift exact; this is a
-    deterministic computation, not a probabilistic one.
+    deterministic computation, not a probabilistic one.  A symmetric
+    permutation by the reverse Cuthill-McKee order first narrows the band
+    det_mod_prime eliminates in, leaving the determinant alone.
     """
     n = len(rows)
     if n == 0:
@@ -200,6 +246,8 @@ def det_exact_modular(rows) -> int:
     mat = np.array(rows, dtype=np.int64)
     if np.any(np.abs(mat) >= 1 << _MOD_PRIME_BITS):
         raise ValueError("entries too large for the modular path")
+    order = _rcm_order((mat != 0) | (mat.T != 0))
+    mat = mat[np.ix_(order, order)]
 
     primes = []
     residues = []

@@ -3,9 +3,11 @@
 Delete a row and the matching column of the Laplacian D - A and take the
 determinant: that is the number of spanning trees.  Loops cancel between
 D and A and contribute nothing.  Small matrices go through fraction-free
-Bareiss elimination; large ones through the CRT-modular determinant, which
-is equally exact (Hadamard-bounded prime count) but vastly faster at a
-thousand vertices.
+Bareiss elimination.  Large ones are ordered by reverse Cuthill-McKee,
+which reads only the nonzero pattern and turns a layer's few nonzeros per
+row into a narrow band, and then go through the CRT-modular determinant
+with elimination inside that band: equally exact (Hadamard-bounded prime
+count) and vastly faster at a thousand vertices.
 """
 
 from __future__ import annotations

@@ -131,6 +131,16 @@ def test_lvalues_rejects_inadmissible_base(tmp_path):
     assert result.stdout == ""
 
 
+def test_qseries_rejects_inadmissible_base(tmp_path):
+    doc = {"graph": {"vertices": 2, "edges": [[0, 0], [1, 1]]}, "ell": 2, "d": 1, "alpha": [[1], [0]]}
+    path = tmp_path / "disconnected.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("qseries", "--spec", str(path))
+    assert result.returncode == 1
+    assert "base graph is not admissible" in result.stderr
+    assert result.stdout == ""
+
+
 def test_lvalues_digit_limit():
     result = run_cli("lvalues", "--spec", E1, "--level", "3", "--digit-limit", "2")
     assert result.returncode == 0

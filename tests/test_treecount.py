@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,8 @@ from elltowers import (
     kappa_matrix_tree,
     ord_prime,
 )
-from elltowers.linalg import det_exact_modular
-from elltowers.treecount import reduced_laplacian
-from elltowers.linalg import bareiss_det
+from elltowers.linalg import bareiss_det, det_exact_modular, det_mod_prime
+from elltowers.treecount import BAREISS_LIMIT, reduced_laplacian
 
 from conftest import random_validated_graph
 
@@ -94,3 +94,58 @@ def test_modular_determinant_agrees_with_bareiss(seed):
     g = random_validated_graph(rng, max_vertices=8)
     lap = reduced_laplacian(g)
     assert det_exact_modular(lap) == bareiss_det(lap)
+
+
+# small primes make zero pivots, and so row swaps inside the band, common
+PRIMES = (2, 3, 5, 7, 33554393)
+
+
+def random_banded(rng, n, lower, upper, bound):
+    """Entries in [-bound, bound] with i - j <= lower and j - i <= upper."""
+    return [
+        [rng.randint(-bound, bound) if -lower <= j - i <= upper else 0 for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def banded_case(rng, n, kind):
+    lower = rng.randrange(n)
+    upper = lower if kind == "symmetric" else rng.randrange(n)
+    rows = random_banded(rng, n, lower, upper, rng.choice((3, 2**24 - 1)))
+    if kind == "singular" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[j] = [rng.choice((-2, -1, 1, 2)) * x for x in rows[i]]
+    if kind == "zero-diagonal":
+        for i in range(n):
+            rows[i][i] = 0
+    return rows
+
+
+def assert_banded_agrees(rows, rng):
+    exact = bareiss_det(rows)
+    assert det_exact_modular(rows) == exact
+    mat = np.array(rows, dtype=np.int64)
+    for p in PRIMES:
+        assert det_mod_prime(mat, p) == exact % p, p
+    perm = rng.sample(range(len(rows)), len(rows))
+    permuted = [[rows[i][j] for j in perm] for i in perm]
+    assert det_exact_modular(permuted) == exact
+    for p in PRIMES:
+        assert det_mod_prime(np.array(permuted, dtype=np.int64), p) == exact % p, p
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "non-symmetric", "singular", "zero-diagonal"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_banded_determinant_agrees_with_bareiss(kind, seed):
+    rng = random.Random(seed)
+    rows = banded_case(rng, rng.randint(1, 24), kind)
+    assert_banded_agrees(rows, rng)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["non-symmetric", "zero-diagonal"]))
+def test_banded_determinant_beyond_bareiss_limit(seed, kind):
+    rng = random.Random(seed)
+    rows = banded_case(rng, rng.randint(BAREISS_LIMIT + 1, BAREISS_LIMIT + 16), kind)
+    assert_banded_agrees(rows, rng)
