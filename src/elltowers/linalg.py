@@ -1,15 +1,20 @@
 """Exact linear algebra: fraction-free and modular determinants, rational solves.
 
 Everything returned from this module is exact.  Floating point shows up only
-inside the Hadamard bound estimate for the modular determinant, where it is
+inside the determinant bound for the modular determinant, where it is
 padded conservatively before being used to pick how many primes to take.
 
 The modular determinant orders the matrix by reverse Cuthill-McKee of the
-pattern of A + A^T, then eliminates modulo each prime inside the band of
-width w = max |i - j| over the nonzeros: step k touches rows k+1..k+w and
-columns up to k+2w.  Dense elimination is the case w = n - 1, and the
-lazy-reduction guard, which bounds the products one entry absorbs by n,
-holds as w < n.
+pattern of A + A^T, then eliminates modulo a whole batch of primes at once
+inside the envelope of that pattern (George and Liu 1981, ch. 4): step k
+searches its pivot in rows k..R_k and updates rows k+1..R_k, where R_k is
+read from the pattern alone.  With w = max(R_k - k), a narrow band has
+w + 1 rows per step whatever n is; dense elimination is the case
+w = n - 1.  Only a strip of the matrix, 2w + 1 rows high, is held per
+prime, and the batch is sized so that the strips fit in the memory of one
+dense n x n int64 copy (at least 4 MB).  The lazy-reduction guard bounds
+the products one entry absorbs between reductions by w + 1, so the size
+limit is on the band, not on n.
 """
 
 from __future__ import annotations
@@ -148,51 +153,101 @@ def solve_linear_fractions(matrix, rhs):
     return [a[i][n] for i in range(n)]
 
 
-_MOD_PRIME_BITS = 25  # row updates accumulate n products of < 2^50 in int64
+_MOD_PRIME_BITS = 25  # an entry absorbs at most w + 1 products of < 2^50 between reductions
+_BATCH_BYTES = 4 << 20  # least strip memory of one det_mod_prime call from det_exact_modular
 
 
-def det_mod_prime(mat: np.ndarray, p: int) -> int:
-    """Determinant of an integer matrix modulo a prime p < 2^25.
+def _envelope(mat: np.ndarray):
+    """Elimination bounds of a square matrix, read from its nonzero pattern.
 
-    Gaussian elimination over F_p inside the band.  With bandwidth
-    w = max |i - j| over the nonzero entries, no row below k + w has a
-    nonzero in column k, and partial pivoting keeps the lower bandwidth at
-    w and the upper at most 2w; so step k searches its pivot in rows
-    k..k+w and touches only rows k+1..k+w and columns up to k+2w.  Dense
-    elimination is the case w = n - 1.  Reduction is lazy: entries are
-    kept as arbitrary int64 representatives of their residue classes and
-    only the pivot column and pivot row are reduced each step, so the bulk
-    is pure multiply-subtract.  The guard bounds what one entry can hold:
-    its own value plus at most one product below 2^50 per step, n in all,
-    which the band only lowers.  That is safe for n up to 4096 at every
-    p < 2^25, and the guard refuses larger n at the first prime the CRT
-    loop takes.
+    rows_to[k] is the cumulative maximum of the rows whose first nonzero is
+    at or before column k, so no row below it is nonzero in column k at
+    step k.  cols_to[k] is the cumulative maximum of the last nonzeros of
+    the rows up to rows_to[k], so no row the step touches reaches past it.
+    Row swaps stay inside k..rows_to[k] and an update only merges row
+    extents, so both bounds hold under any pivoting; a band of width w has
+    rows_to[k] <= k + w and cols_to[k] <= k + 2w.  Also returns the window
+    height w + 1 = max(rows_to[k] - k) + 1, which is the number of steps per
+    strip, and the (rows, columns) shape of the strip.
     """
-    a = np.mod(mat, p).astype(np.int64)
-    n = a.shape[0]
-    if n * (p - 1) ** 2 + p >= 1 << 62:
-        raise ValueError("matrix too large for lazy-reduction elimination at this prime")
-    rows, cols = np.nonzero(a)
-    w = int(np.abs(rows - cols).max()) if rows.size else 0
-    det = 1
-    for k in range(n):
-        low, right = k + w + 1, k + 2 * w + 1
-        col = a[k:low, k]
-        col %= p
-        nz = col.nonzero()[0]
-        if nz.size == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            a[[k, i], k:right] = a[[i, k], k:right]
-            det = -det
-        a[k, k:right] %= p
-        pivot = int(a[k, k])
-        det = det * pivot % p
-        if k + 1 < n:
-            factors = a[k + 1:low, k] * pow(pivot, -1, p) % p
-            a[k + 1:low, k + 1:right] -= factors[:, None] * a[k, k + 1:right]
-    return det % p
+    n = mat.shape[0]
+    nz = mat != 0
+    full = nz.any(axis=1)
+    first = np.where(full, nz.argmax(axis=1), n)
+    last = np.where(full, n - 1 - nz[:, ::-1].argmax(axis=1), -1)
+    steps = np.arange(n)
+    lowest = np.full(n + 1, -1)
+    np.maximum.at(lowest, first, steps)
+    rows_to = np.maximum(np.maximum.accumulate(lowest[:n]), steps)
+    cols_to = np.maximum(np.maximum.accumulate(last)[rows_to], steps)
+    height = int((rows_to - steps).max(initial=0)) + 1
+    width = int((cols_to - steps).max(initial=0)) + 1
+    return rows_to, cols_to, height, (min(2 * height - 1, n), min(height + width - 1, n))
+
+
+def det_mod_prime(mat: np.ndarray, primes) -> list[int]:
+    """Determinants of an integer matrix modulo each of a sequence of primes.
+
+    One Gaussian elimination over F_p for all the primes at once.  An int64
+    array of shape (strip rows, strip columns, primes) holds only the active
+    strip, with the primes innermost so that every row update is one long
+    contiguous run.  Step k searches its pivot in rows k..R_k and updates
+    rows k+1..R_k, with R_k and the column bound C_k from ``_envelope``;
+    the update stops at the last column where the pivot row is nonzero
+    modulo some prime of the batch, which without row swaps is about k + w
+    rather than C_k <= k + 2w.  A window of w + 1 rows slides down the strip
+    as a view, and every w + 1 steps the strip is refilled: the rows
+    elimination has touched move up, reduced modulo p, and the rest are
+    read from ``mat``.  Nothing is copied per step.  Per prime, Python
+    computes only the pivot inverse; a prime whose pivot column vanishes
+    gets residue 0 and stays in the batch with zero row factors.
+
+    Reduction is lazy: each step reduces only the pivot column and the
+    pivot row, so between refills an entry absorbs at most w + 1 products
+    below p^2.  The guard refuses a band with (w + 1)(p - 1)^2 + p >= 2^62,
+    which at every p < 2^25 allows w + 1 up to 4096 rows per step; the
+    matrix size n does not enter.
+    """
+    primes = [int(p) for p in primes]
+    n = mat.shape[0]
+    rows_to, cols_to, height, shape = _envelope(mat)
+    top = max(primes)
+    if height * (top - 1) ** 2 + top >= 1 << 62:
+        raise ValueError(
+            f"band too wide for lazy-reduction elimination: {height} rows per step at p = {top}")
+    ps = np.array(primes, dtype=np.int64)
+    each = np.arange(len(primes))
+    strip = np.empty(shape + (len(primes),), dtype=np.int64)
+    det = np.ones(len(primes), dtype=np.int64)
+    for s in range(0, n, height):
+        kept = max(int(rows_to[s - 1]) - s + 1, 0) if s else 0
+        nr, nc = min(shape[0], n - s), min(shape[1], n - s)
+        if kept:
+            # touched rows reach no further than cols_to[s - 1], inside the old strip
+            m = min(shape[1] - height, nc)
+            np.remainder(strip[height:height + kept, height:height + m], ps, out=strip[:kept, :m])
+            strip[:kept, m:nc] = 0
+        np.remainder(mat[s + kept:s + nr, s:s + nc, None], ps, out=strip[kept:nr, :nc])
+        for k in range(s, min(s + height, n)):
+            j = k - s
+            low, right = int(rows_to[k]) - s + 1, int(cols_to[k]) - s + 1
+            col = strip[j:low, j]
+            col %= ps
+            lead = (col != 0).argmax(axis=0)
+            if lead.any():
+                pivot_rows = strip[j + lead, j:right, each]
+                strip[j + lead, j:right, each] = strip[j, j:right].T
+                strip[j, j:right] = pivot_rows.T
+                det[lead != 0] *= -1
+            row = strip[j, j:right]
+            row %= ps
+            det = det * row[0] % ps
+            if low > j + 1:
+                inv = [pow(x, -1, p) if x else 0 for x, p in zip(row[0].tolist(), primes)]
+                factors = col[1:] * np.array(inv, dtype=np.int64) % ps
+                right -= int(row.any(axis=1)[::-1].argmax())
+                strip[j + 1:low, j + 1:right] -= factors[:, None] * row[1:right - j]
+    return (det % ps).tolist()
 
 
 def _rcm_order(pattern: np.ndarray) -> list[int]:
@@ -225,41 +280,55 @@ def _rcm_order(pattern: np.ndarray) -> list[int]:
 def det_exact_modular(rows) -> int:
     """Exact determinant of an integer matrix by CRT over 25-bit primes.
 
-    The number of primes is chosen so their product exceeds twice the
-    Hadamard bound, which makes the centered CRT lift exact; this is a
-    deterministic computation, not a probabilistic one.  A symmetric
-    permutation by the reverse Cuthill-McKee order first narrows the band
-    det_mod_prime eliminates in, leaving the determinant alone.
+    The matrix is first permuted symmetrically by the reverse Cuthill-McKee
+    order of its pattern, which narrows the envelope det_mod_prime
+    eliminates in and leaves the determinant alone; only one n x n int64
+    copy is held.  The number of primes is chosen so their product exceeds
+    twice a bound on |det|, which makes the centered CRT lift exact; this
+    is a deterministic computation, not a probabilistic one.  The bound is
+    Hadamard's, the product of the row norms, unless the matrix is
+    symmetric and weakly diagonally dominant with a nonnegative diagonal:
+    then it is positive semidefinite by Gershgorin, and det <= prod a_ii
+    (Hadamard-Fischer) needs fewer primes.  The prime list is built first
+    and goes to det_mod_prime in batches whose strips together fit in
+    max(n^2 int64, 4 MB), about as much as one dense copy of the matrix.
     """
     n = len(rows)
     if n == 0:
         return 1
-    bits = 0.0
-    for r in rows:
-        s = 0
-        for x in r:
-            s += x * x
-        if s == 0:
-            return 0
-        bits += 0.5 * math.log2(s)
-    target = bits + 8.0  # float slop + the factor of 2 for the signed lift
-    mat = np.array(rows, dtype=np.int64)
+    pattern = np.array(rows, dtype=bool)
+    order = _rcm_order(pattern | pattern.T)
+    mat = np.array([rows[i] for i in order], dtype=np.int64)
+    columns = np.array(order)
+    for row in mat:  # in place, so no second n x n copy is held
+        row[:] = row[columns]
     if np.any(np.abs(mat) >= 1 << _MOD_PRIME_BITS):
         raise ValueError("entries too large for the modular path")
-    order = _rcm_order((mat != 0) | (mat.T != 0))
-    mat = mat[np.ix_(order, order)]
+    norms = np.square(mat, dtype=np.float64).sum(axis=1)
+    if not norms.all():
+        return 0
+    diag = mat.diagonal()
+    # 2 a_ii >= sum_j |a_ij| says a_ii >= 0 and a_ii >= sum_{j != i} |a_ij|
+    if (mat == mat.T).all() and (2 * diag >= np.abs(mat).sum(axis=1)).all():
+        bits = float(np.log2(diag).sum())
+    else:
+        bits = 0.5 * float(np.log2(norms).sum())
+    target = bits + 8.0  # float slop + the factor of 2 for the signed lift
 
     primes = []
-    residues = []
     got = 0.0
     c = (1 << _MOD_PRIME_BITS) - 1
     while got < target:
         while not is_prime(c):
             c -= 2
         primes.append(c)
-        residues.append(det_mod_prime(mat, c))
         got += math.log2(c)
         c -= 2
+    _, _, _, shape = _envelope(mat)
+    batch = max(1, max(8 * n * n, _BATCH_BYTES) // (8 * shape[0] * shape[1]))
+    residues = []
+    for i in range(0, len(primes), batch):
+        residues += det_mod_prime(mat, primes[i:i + batch])
 
     x = 0
     modulus = 1

@@ -5,9 +5,11 @@ determinant: that is the number of spanning trees.  Loops cancel between
 D and A and contribute nothing.  Small matrices go through fraction-free
 Bareiss elimination.  Large ones are ordered by reverse Cuthill-McKee,
 which reads only the nonzero pattern and turns a layer's few nonzeros per
-row into a narrow band, and then go through the CRT-modular determinant
-with elimination inside that band: equally exact (Hadamard-bounded prime
-count) and vastly faster at a thousand vertices.
+row into a narrow band, and then go through the CRT-modular determinant,
+which eliminates a batch of primes at once inside that envelope: equally
+exact (a reduced Laplacian is symmetric and diagonally dominant, so the
+product of its diagonal bounds the prime count) and vastly faster at a
+thousand vertices.
 """
 
 from __future__ import annotations

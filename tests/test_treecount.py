@@ -1,4 +1,6 @@
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from elltowers import (
     kappa_matrix_tree,
     ord_prime,
 )
+from elltowers import linalg
 from elltowers.linalg import bareiss_det, det_exact_modular, det_mod_prime
 from elltowers.treecount import BAREISS_LIMIT, reduced_laplacian
 
@@ -124,14 +127,13 @@ def banded_case(rng, n, kind):
 def assert_banded_agrees(rows, rng):
     exact = bareiss_det(rows)
     assert det_exact_modular(rows) == exact
-    mat = np.array(rows, dtype=np.int64)
-    for p in PRIMES:
-        assert det_mod_prime(mat, p) == exact % p, p
+    # one call mixes primes that kill a pivot column or force a swap with
+    # primes that do not
+    assert det_mod_prime(np.array(rows, dtype=np.int64), PRIMES) == [exact % p for p in PRIMES]
     perm = rng.sample(range(len(rows)), len(rows))
     permuted = [[rows[i][j] for j in perm] for i in perm]
     assert det_exact_modular(permuted) == exact
-    for p in PRIMES:
-        assert det_mod_prime(np.array(permuted, dtype=np.int64), p) == exact % p, p
+    assert det_mod_prime(np.array(permuted, dtype=np.int64), PRIMES) == [exact % p for p in PRIMES]
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "non-symmetric", "singular", "zero-diagonal"])
@@ -149,3 +151,79 @@ def test_banded_determinant_beyond_bareiss_limit(seed, kind):
     rng = random.Random(seed)
     rows = banded_case(rng, rng.randint(BAREISS_LIMIT + 1, BAREISS_LIMIT + 16), kind)
     assert_banded_agrees(rows, rng)
+
+
+def test_batch_mixes_swapped_and_unswapped_primes():
+    # the first pivot is 0 mod 3 only, so one batch swaps rows for p = 3
+    # and for no other prime; det = 7, so p = 7 gets residue 0
+    rows = [[3, 1, 0], [1, 2, 1], [0, 1, 2]]
+    assert bareiss_det(rows) == 7
+    assert_banded_agrees(rows, random.Random(0))
+
+
+def test_band_not_size_limits_elimination():
+    # 4100 rows is past what a guard on n would allow; the band is 1 wide
+    n = 4100
+    mat = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n)
+    mat[i, i] = 2
+    mat[i[1:], i[:-1]] = -1
+    mat[i[:-1], i[1:]] = -1
+    assert det_mod_prime(mat, PRIMES) == [(n + 1) % p for p in PRIMES]
+
+
+def test_band_too_wide_is_refused():
+    mat = np.eye(4097, dtype=np.int8)
+    mat[0, 4096] = mat[4096, 0] = 1
+    with pytest.raises(ValueError, match="band too wide"):
+        det_mod_prime(mat, PRIMES)
+
+
+def bits_of_primes_used(rows):
+    """det_exact_modular(rows), checked against Bareiss, and log2 of the
+    product of the primes it took."""
+    seen = []
+
+    def spy(mat, primes):
+        seen.extend(primes)
+        return det_mod_prime(mat, primes)
+
+    with mock.patch.object(linalg, "det_mod_prime", spy):
+        assert det_exact_modular(rows) == bareiss_det(rows)
+    return sum(math.log2(p) for p in seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_diagonally_dominant_symmetric_takes_diagonal_bound(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    bound = rng.choice((1, 5, 2**19))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.3:
+                rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    slack = rng.choice((0, 1, bound))
+    for i in range(n):
+        rows[i][i] = sum(abs(x) for x in rows[i]) + rng.randint(0, slack)
+    bits = bits_of_primes_used(rows)
+    if all(rows[i][i] for i in range(n)):
+        # positive semidefinite by Gershgorin: det <= prod a_ii
+        diagonal = sum(math.log2(rows[i][i]) for i in range(n))
+        assert diagonal + 8 <= bits < diagonal + 8 + 25
+
+
+@pytest.mark.parametrize("block, copies", [
+    ([[1, 1], [-1, 1]], 40),  # dominant but not symmetric: det 2^40
+    ([[1, 2**24 - 1], [2**24 - 1, 1]], 3),  # symmetric but not dominant
+], ids=["non-symmetric", "non-dominant"])
+def test_other_matrices_keep_row_norm_bound(block, copies):
+    n = 2 * copies
+    rows = [[0] * n for _ in range(n)]
+    for c in range(copies):
+        for i in range(2):
+            for j in range(2):
+                rows[2 * c + i][2 * c + j] = block[i][j]
+    hadamard = sum(0.5 * math.log2(sum(x * x for x in r)) for r in rows)
+    assert bits_of_primes_used(rows) >= hadamard + 8
