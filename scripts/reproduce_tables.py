@@ -4,7 +4,8 @@
 Runs every fixture in fixtures/ to its recorded depth (n = 10 for the
 ell = 2 towers, n = 7 for ell = 3), prints the per-layer valuations with
 timings, fits the growth polynomial on the deepest window, and reports
-how far back the fit verifies.
+how far back the fit verifies.  The last line is the wall time of the
+whole run.
 
 Usage:
     python scripts/reproduce_tables.py [--n-max N] [--budget VERTICES]
@@ -65,8 +66,10 @@ def main():
     )
     args = parser.parse_args()
     fixtures = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.json"))
+    t_start = time.perf_counter()
     for path in fixtures:
         run_fixture(path, args.n_max, args.budget)
+    print(f"grand total {time.perf_counter() - t_start:.2f}s")
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elltowers", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_max=False, output=False, budget=False, jobs=False):
+    def common(p, n_max=False, output=False, budget=False):
         p.add_argument("--spec", required=True, help="tower spec JSON file")
         if n_max:
             p.add_argument("--n-max", type=_nonnegative, required=True, help="deepest layer to compute")
@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=f"vertex budget for building layers explicitly (env {BUDGET_ENV}, default {DEFAULT_BUDGET})",
             )
-        if jobs:
-            p.add_argument("--jobs", type=_positive, default=1, help="parallel workers for orbit evaluation")
         if output:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
             p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -99,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("validate", help="check the spec and tower connectivity"))
 
     p = sub.add_parser("table", help="per-layer valuations of the tree numbers")
-    common(p, n_max=True, output=True, budget=True, jobs=True)
+    common(p, n_max=True, output=True, budget=True)
 
     p = sub.add_parser("fit", help="candidate growth polynomial from the deepest window")
-    common(p, n_max=True, output=True, budget=True, jobs=True)
+    common(p, n_max=True, output=True, budget=True)
 
     p = sub.add_parser("lvalues", help="per-orbit special values at one layer")
     common(p, output=True)
@@ -185,7 +183,7 @@ def _render_rows(rows, fmt: str, meta=None) -> str:
 
 
 def _compute_sequence(args: argparse.Namespace, spec) -> ValuationSequence:
-    calc = TowerCalculator(spec, jobs=args.jobs)
+    calc = TowerCalculator(spec)
     if args.n_max == 0:
         base = calc.base_tree_count()
         return ValuationSequence(spec.ell, spec.d, (SequenceEntry(0, base.ord_ell, "matrix-tree"),))

@@ -18,9 +18,9 @@ convenient for trivial characters.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import accumulate
+
+import numpy as np
 
 
 def phi_ell_power(ell: int, level: int) -> int:
@@ -210,36 +210,53 @@ def epsilon(ell: int, level: int, a: int) -> CycInt:
 # valuations -----------------------------------------------------------------
 
 
-def pi_adic_ord(x: CycInt) -> int:
-    """Order of x at the prime above ell, normalized so 1 - zeta has order 1.
+def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
+    """Orders at the prime above ell of a batch of nonzero elements of one
+    level, given as rows of power-basis coefficients (int64 with entries
+    below 2^62, or Python integers as dtype=object; both take this code).
 
     The prime is totally ramified: ell = pi^phi * unit with pi = 1 - zeta,
     and Phi = (X - 1)^phi mod ell (Washington, Introduction to Cyclotomic
-    Fields, ch. 1).  Dividing out the ell-content ell^c contributes c * phi;
-    what remains is nonzero modulo ell, so its order r is below phi and
-    equals the multiplicity of the root 1 of its coefficient polynomial
-    over F_ell, counted by synthetic divisions by X - 1.  Level 0 (phi = 1)
-    is the plain ell-adic valuation of an integer and takes the same path.
+    Fields, ch. 1).  Dividing a row's ell-content ell^c out contributes
+    c * phi; what remains is nonzero modulo ell, so its order r is below
+    phi and equals the multiplicity of the root 1 of its coefficient
+    polynomial over F_ell.  Each division by X - 1 is one cumsum mod ell
+    over the whole batch, taken from the constant term: it divides the
+    reversed row X^(phi-1) f(1/X), whose multiplicity at 1 is the same.
+    Only the rows whose remainder is still 0 take the next step.  Level 0
+    (phi = 1) is the plain ell-adic valuation of an integer.  A zero row
+    raises ValueError.
     """
-    if x.is_zero():
+    phi = rows.shape[1]
+    ords = np.zeros(len(rows), dtype=np.int64)
+    low = (rows % ell).astype(np.int64, copy=False)
+    idx = np.flatnonzero(~low.any(axis=1))
+    high = rows[idx]
+    if not (high != 0).any(axis=1).all():
         raise ValueError("the zero element has infinite valuation")
-    ell = x.ell
-    content, g = 0, math.gcd(*x.coeffs)
-    while g % ell == 0:
-        g //= ell
-        content += 1
-    scale = ell**content
-    v = [c // scale % ell for c in x.coeffs]
-    while not v[-1]:
-        v.pop()
-    order = content * len(x.coeffs)
-    while True:
-        # suffix sums: the quotient by X - 1, then the remainder v(1)
-        totals = [t % ell for t in accumulate(reversed(v))]
-        if totals[-1]:
-            return order
-        v = totals[-2::-1]
-        order += 1
+    while idx.size:  # strip the ell-content of the rows divisible by ell
+        high = high // ell
+        ords[idx] += phi
+        low[idx] = high % ell
+        done = low[idx].any(axis=1)
+        idx, high = idx[~done], high[~done]
+    # the remainder is the last column; a kept row ends in that 0, so after
+    # the next cumsum the last column is again the remainder
+    idx = np.arange(len(rows))
+    while idx.size:
+        low = np.cumsum(low, axis=1)
+        np.remainder(low, ell, out=low)
+        keep = low[:, -1] == 0
+        idx, low = idx[keep], low[keep]
+        ords[idx] += 1
+    return ords
+
+
+def pi_adic_ord(x: CycInt) -> int:
+    """Order of x at the prime above ell, normalized so 1 - zeta has order 1:
+    pi_adic_ords on the single row of x's coefficients."""
+    dtype = np.int64 if max(map(abs, x.coeffs)) < 2**62 else object
+    return int(pi_adic_ords(np.array([x.coeffs], dtype=dtype), x.ell)[0])
 
 
 def v_ell(x: CycInt) -> Fraction:

@@ -19,26 +19,32 @@ The tree-number identity used everywhere downstream:
 
 so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum of the per-orbit
 pi-adic orders (exact, no norms needed; full integers come on demand via
-resultants).  The only cache is TowerCalculator's per-level orders and norms.
+resultants).  Each level is one batched pass: the values of all its orbit
+representatives are rows of one integer array (series.character_values)
+and their orders come from one pi_adic_ords call, in chunks of at most
+about _CHUNK_ENTRIES work entries so memory stays flat as the level grows.
+The only cache is TowerCalculator's per-level orders and norms.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .cyclotomic import (
+import numpy as np
+
+from .cyclotomic import (  # noqa: F401  (pi_adic_ord: perfbench/tracer.py looks it up here)
     CycInt,
     norm_to_int,
     phi_ell_power,
     pi_adic_ord,
+    pi_adic_ords,
     zeta_power,
 )
 from .graphs import validate_base
 from .linalg import det_in_ring
-from .series import LaurentPoly, char_poly, character_value
+from .series import LaurentPoly, char_poly, character_value, character_values
 from .treecount import TreeCount, kappa_matrix_tree, ord_prime
 from .voltage import DisconnectedCoverError, VoltageSpec, check_tower_connectivity, reduce_voltage
 
@@ -171,8 +177,7 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     orbits = iter(enumerate_orbits(spec.ell, n, spec.d))
     out = []
     for k in range(1, n + 1):
-        for prim, order in zip(_primitive_orbit_reps(spec.ell, k, spec.d), calc.level_ords(k)):
-            value = calc.value(k, prim)
+        for value, order in zip(calc.level_values(k), calc.level_ords(k)):
             skip = 0 < digit_limit < _digit_bound(value)
             out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
     return out
@@ -194,9 +199,9 @@ def _digit_bound(value: CycInt) -> int:
 # the tower calculator ----------------------------------------------------------
 
 
-def _ord_batch_worker(args):
-    poly, ell, k, prims = args
-    return [pi_adic_ord(character_value(poly, ell, k, p)) for p in prims]
+# entries of one chunk of a level's (representatives x ell^k) work array:
+# bounds the memory of one batched pass whatever the level
+_CHUNK_ENTRIES = 2**17
 
 
 class TowerCalculator:
@@ -206,10 +211,11 @@ class TowerCalculator:
     for every layer n >= k, so the tables for n = 1..n_max cost one pass
     per level, not one per layer; this is the package's only cache.  Every
     value is a specialization of the characteristic polynomial P, built on
-    first use.
+    first use; values, orders and norms of a level all read the same
+    chunked rows of character_values.
     """
 
-    def __init__(self, spec: VoltageSpec, jobs: int = 1):
+    def __init__(self, spec: VoltageSpec):
         report = validate_base(spec.base)
         if not report.ok:
             raise ValueError("base graph is not admissible: " + "; ".join(report.reasons))
@@ -217,7 +223,6 @@ class TowerCalculator:
         if not conn.ok:
             raise DisconnectedCoverError("; ".join(conn.reasons))
         self.spec = spec
-        self.jobs = max(1, jobs)
         self._level_ords: dict[int, tuple[int, ...]] = {}
         self._level_norms: dict[int, tuple[int, ...]] = {}
         self._base: TreeCount | None = None
@@ -239,37 +244,39 @@ class TowerCalculator:
             self._base = kappa_matrix_tree(self.spec.base, self.spec.ell)
         return self._base
 
+    def _level_rows(self, k: int):
+        """Values of all exact-level-k orbit representatives, in the order
+        of _primitive_orbit_reps(ell, k, d), as successive arrays of
+        power-basis rows (character_values) of at most about _CHUNK_ENTRIES
+        work entries each."""
+        ell = self.spec.ell
+        prims = _primitive_orbit_reps(ell, k, self.spec.d)
+        step = max(1, _CHUNK_ENTRIES // ell**k)
+        for i in range(0, len(prims), step):
+            yield character_values(self.poly, ell, k, prims[i : i + step])
+
+    def level_values(self, k: int):
+        """The exact-level-k orbit values as CycInts, read from _level_rows(k)."""
+        for rows in self._level_rows(k):
+            for row in rows.tolist():
+                yield CycInt(self.spec.ell, k, row)
+
     def level_ords(self, k: int) -> tuple[int, ...]:
         """pi-adic orders of all exact-level-k orbit values, aligned with
-        _primitive_orbit_reps(ell, k, d)."""
+        _primitive_orbit_reps(ell, k, d): one pi_adic_ords pass per chunk."""
         got = self._level_ords.get(k)
-        if got is not None:
-            return got
-        spec = self.spec
-        prims = _primitive_orbit_reps(spec.ell, k, spec.d)
-        if self.jobs > 1 and len(prims) >= 4 * self.jobs:
-            chunks = [prims[i :: self.jobs] for i in range(self.jobs)]
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                parts = list(pool.map(_ord_batch_worker, [(self.poly, spec.ell, k, c) for c in chunks]))
-            ords = [0] * len(prims)
-            for offset, part in enumerate(parts):
-                for j, val in enumerate(part):
-                    ords[offset + j * self.jobs] = val
-        else:
-            ords = _ord_batch_worker((self.poly, spec.ell, k, prims))
-        result = tuple(ords)
-        self._level_ords[k] = result
-        return result
+        if got is None:
+            chunks = [pi_adic_ords(rows, self.spec.ell) for rows in self._level_rows(k)]
+            got = self._level_ords[k] = tuple(np.concatenate(chunks).tolist())
+        return got
 
     def level_norms(self, k: int) -> tuple[int, ...]:
         """Norms of the exact-level-k orbit values, checked against level_ords(k)."""
         got = self._level_norms.get(k)
-        if got is not None:
-            return got
-        prims = _primitive_orbit_reps(self.spec.ell, k, self.spec.d)
-        norms = tuple(_checked_norm(self.value(k, p), o) for p, o in zip(prims, self.level_ords(k)))
-        self._level_norms[k] = norms
-        return norms
+        if got is None:
+            pairs = zip(self.level_values(k), self.level_ords(k))
+            got = self._level_norms[k] = tuple(_checked_norm(v, o) for v, o in pairs)
+        return got
 
     def ord_valuation(self, n: int) -> int:
         """ord_ell(kappa_n) via the orbit-sum formula; exact, no norms."""

@@ -8,7 +8,8 @@ value the package needs is a specialization of P:
 
 * the character of exact order ell^k indexed by a sends x_i to zeta^(a_i),
   which gives the twisted special value det(D - A_psi) in Z[zeta_(ell^k)]
-  (character_value);
+  (character_values: one integer row per character, a whole batch of
+  characters per call);
 * the classical point (1 - zeta^(a_1), ..., 1 - zeta^(a_d)) of the unit
   polydisk is the same substitution written in T_i = 1 - x_i
   (evaluate_at_classical_point);
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+
+import numpy as np
 
 from .cyclotomic import CycInt, phi_ell_power
 from .linalg import det_in_ring
@@ -80,27 +83,40 @@ def char_poly(spec: VoltageSpec) -> LaurentPoly:
     return det_in_ring([[LaurentPoly(entry) for entry in row] for row in rows])
 
 
-def character_value(poly: LaurentPoly, ell: int, level: int, avec) -> CycInt:
-    """P(zeta^(a_1), ..., zeta^(a_d)) with zeta a primitive ell^level-th
-    root of unity, built without any ring multiplications.
+def character_values(poly: LaurentPoly, ell: int, level: int, avecs) -> np.ndarray:
+    """P(zeta^(a_1), ..., zeta^(a_d)) for each index vector a in avecs, with
+    zeta a primitive ell^level-th root of unity: one row of power-basis
+    coefficients per vector, built without any ring multiplications.
 
-    Each term c x^e lands on zeta^(a.e mod ell^level).  An exponent
-    x >= phi is reduced in one step by
-    zeta^x = -(zeta^(x-phi) + zeta^(x-phi+s) + ... + zeta^(x-phi+(ell-2)s))
-    with s = ell^(level-1); every index on the right is below phi.
+    Each term c x^e lands on zeta^(a.e mod ell^level): one matrix product
+    gives every (character, term) exponent, and one np.add.at places all
+    the coefficients, summing the terms that land on the same power.
+    The block of exponents [phi, ell^level) is then folded down in one
+    step by zeta^x = -(zeta^(x-phi) + zeta^(x-phi+s) + ... +
+    zeta^(x-phi+(ell-2)s)) with s = ell^(level-1).  Index vectors and
+    exponents are reduced mod ell^level first, so their products fit int64
+    whatever the voltages.  Every entry is bounded by the sum of |c| over
+    P's terms: below 2^62 the rows are int64,
+    otherwise Python integers (dtype=object), through the same code.
     """
     m = ell**level
     phi = phi_ell_power(ell, level)
-    step = ell ** (level - 1) if level else 1
-    vec = [0] * phi
-    for e, c in poly.terms.items():
-        x = sum(a * b for a, b in zip(avec, e)) % m
-        if x < phi:
-            vec[x] += c
-        else:
-            for j in range(x - phi, phi, step):
-                vec[j] -= c
-    return CycInt(ell, level, vec)
+    dtype = np.int64 if sum(map(abs, poly.terms.values())) < 2**62 else object
+    a = (np.asarray(avecs, dtype=object) % m).astype(np.int64)
+    exps = (np.array(list(poly.terms), dtype=object).reshape(-1, a.shape[1]) % m).astype(np.int64)
+    targets = a @ exps.T % m
+    work = np.zeros((len(a), m), dtype=dtype)
+    coeffs = np.array(list(poly.terms.values()), dtype=dtype)
+    np.add.at(work, (np.arange(len(a))[:, None], targets), coeffs)
+    s = m // ell
+    for j in range(ell - 1):
+        work[:, j * s : (j + 1) * s] -= work[:, phi:]
+    return work[:, :phi]
+
+
+def character_value(poly: LaurentPoly, ell: int, level: int, avec) -> CycInt:
+    """P at the single character indexed by avec: one row of character_values."""
+    return CycInt(ell, level, character_values(poly, ell, level, [avec])[0].tolist())
 
 
 # the determinant series Q(T) ----------------------------------------------------

@@ -172,7 +172,7 @@ def test_export_dot_budget_error():
     "args",
     [
         pytest.param(("table", "--spec", E1), id="missing-n-max"),
-        pytest.param(("table", "--spec", E1, "--n-max", "2", "--jobs", "0"), id="jobs-0"),
+        pytest.param(("table", "--spec", E1, "--n-max", "2", "--jobs", "2"), id="jobs-removed"),
         pytest.param(("table", "--spec", E1, "--n-max", "-1"), id="n-max-negative"),
         pytest.param(("fit", "--spec", E1, "--n-max", "5", "--budget", "-1"), id="budget-negative"),
         pytest.param(("lvalues", "--spec", E1, "--level", "0"), id="level-0"),

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from elltowers import (
     v_ell,
     zeta_power,
 )
+from elltowers.cyclotomic import pi_adic_ords
 
 LEVELS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 
@@ -159,6 +161,36 @@ def test_pi_adic_ord_matches_norm_valuation(data):
     # total ramification: ord of the norm equals the pi-adic order
     assert ord_prime(abs(norm_to_int(y)), ell) == pi_adic_ord(y)
     assert pi_adic_ord(y) == pi_adic_ord(x) + c * phi + j
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pi_adic_ords_batch_matches_norm_valuation(data):
+    # a batch of rows x * ell^c * pi^j with mixed c and j; a wide batch
+    # scales one row past 2^62, which forces Python-integer rows
+    ell, level = data.draw(st.sampled_from(LEVELS + [(2, 6), (3, 3)]))
+    phi = phi_ell_power(ell, level)
+    pi = CycInt.one(ell, level) - zeta_power(ell, level, 1)
+    wide = data.draw(st.booleans())
+    batch = []
+    for i in range(data.draw(st.integers(min_value=1, max_value=5))):
+        x = data.draw(cyc_elements(ell, level).filter(bool))
+        c = data.draw(st.integers(min_value=0, max_value=2)) + (64 if wide and i == 0 else 0)
+        j = data.draw(st.integers(min_value=0, max_value=phi - 1))
+        batch.append(x * ell**c * pi**j)
+    rows = np.array([y.coeffs for y in batch], dtype=object if wide else np.int64)
+    assert wide == (max(abs(c) for y in batch for c in y.coeffs) >= 2**62)
+    want = [ord_prime(abs(norm_to_int(y)), ell) for y in batch]
+    assert pi_adic_ords(rows, ell).tolist() == want
+    assert [pi_adic_ord(y) for y in batch] == want
+
+
+def test_pi_adic_ords_rejects_a_zero_row():
+    rows = np.array([[1, 0], [0, 0], [2, 1]], dtype=np.int64)
+    with pytest.raises(ValueError):
+        pi_adic_ords(rows, 3)
+    with pytest.raises(ValueError):
+        pi_adic_ords(rows.astype(object), 3)
 
 
 def test_level_zero_degenerates_to_integers():

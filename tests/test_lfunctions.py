@@ -20,9 +20,10 @@ from elltowers import (
     phi_ell_power,
     twisted_adjacency,
 )
-from elltowers.cyclotomic import CycInt
+from elltowers import lfunctions
+from elltowers.cyclotomic import CycInt, norm_to_int
 from elltowers.lfunctions import TowerCalculator, _primitive_orbit_reps
-from elltowers.series import char_poly, character_value
+from elltowers.series import LaurentPoly, char_poly, character_value, character_values
 
 from conftest import fixture_spec, random_connected_spec
 
@@ -81,6 +82,41 @@ def test_char_poly_values_match_determinant(seed, d):
         m = spec.ell**n
         vec = tuple(rng.randrange(m) for _ in range(d))
         assert character_value(poly, spec.ell, n, vec) == l_value_at_one(spec, n, CharacterIndex(n, vec))
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_character_values_match_l_value(d):
+    # one batched row per character, for every character at levels 1 and 2
+    rng = random.Random(40 + d)
+    for _ in range(2):
+        spec = random_connected_spec(rng, max_vertices=3, d=d)
+        poly = char_poly(spec)
+        for n in (1, 2):
+            vecs = list(product(range(spec.ell**n), repeat=d))
+            rows = character_values(poly, spec.ell, n, vecs)
+            for vec, row in zip(vecs, rows.tolist()):
+                assert CycInt(spec.ell, n, row) == l_value_at_one(spec, n, CharacterIndex(n, vec))
+
+
+def test_character_values_reduce_large_exponents():
+    # voltages and index vectors past int64 act through their residues
+    big = LaurentPoly({(2**70 + 1, 0): 3, (-(2**65), 1): -2, (0, 0): 1})
+    small = LaurentPoly({((2**70 + 1) % 8, 0): 3, (-(2**65) % 8, 1): -2, (0, 0): 1})
+    rows = character_values(big, 2, 3, [(2**80 + 1, 3), (5, -(2**64))])
+    assert rows.tolist() == character_values(small, 2, 3, [(1, 3), (5, 0)]).tolist()
+
+
+@pytest.mark.parametrize("spec, k", [(E1, 5), (E4, 3)], ids=["bouquet2_ell2", "bouquet2_ell3"])
+def test_level_ords_independent_of_chunking(monkeypatch, spec, k):
+    monkeypatch.setattr(lfunctions, "_CHUNK_ENTRIES", 2**40)
+    whole = TowerCalculator(spec).level_ords(k)
+    # a few representatives per chunk, and one per chunk
+    for entries in (3 * spec.ell**k, 1):
+        monkeypatch.setattr(lfunctions, "_CHUNK_ENTRIES", entries)
+        assert TowerCalculator(spec).level_ords(k) == whole
+    calc = TowerCalculator(spec)
+    reps = _primitive_orbit_reps(spec.ell, k, spec.d)
+    assert whole == tuple(ord_prime(norm_to_int(calc.value(k, p)), spec.ell) for p in reps)
 
 
 def test_orbit_enumeration_small_cases():
@@ -242,12 +278,6 @@ def test_calculator_rejects_bad_towers():
     chi_zero = VoltageSpec(c3, default_section(c3), ((1, 0), (0, 1), (1, 1)), 2, 2)
     with pytest.raises(ValueError):
         TowerCalculator(chi_zero)
-
-
-def test_parallel_orbit_evaluation_matches_sequential():
-    seq = TowerCalculator(E4).level_ords(2)
-    par = TowerCalculator(E4, jobs=2).level_ords(2)
-    assert seq == par
 
 
 def test_non_bouquet_tower_tables():
