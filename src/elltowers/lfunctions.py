@@ -12,6 +12,13 @@ diagonal action of (Z/ell^n Z)^x; the product of the values over one
 orbit is a rational integer, equal to the norm of the value at any orbit
 member taken from the field its exact order generates.
 
+Each orbit is named by its lexicographically least member, which has a
+stabilizer normal form: its lead coordinate is ell^t, and a later
+coordinate of valuation s is ell^s * v with v a unit below
+ell^(n-max(s, t)), t the least valuation before it.  So the
+representatives of all levels are built directly, in sorted order, as one
+integer array (_orbit_reps), never by a minimum over an orbit or a coset.
+
 The tree-number identity used everywhere downstream:
 
     ell^(d n) * kappa_n = kappa_X * prod over nontrivial orbits of the
@@ -30,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -121,65 +127,108 @@ def l_value_at_one(spec: VoltageSpec, n: int, chi: CharacterIndex) -> CycInt:
 # orbit enumeration ------------------------------------------------------------
 
 
-def _primitive_orbit_reps(ell: int, k: int, d: int) -> tuple[tuple[int, ...], ...]:
+def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically least members of the unit-group orbits on the
-    primitive vectors modulo ell^k (those with a unit coordinate).
+    nonzero vectors modulo ell^n, as one (orbits x d) integer array sorted
+    by (k, vector), and their exact levels k (n minus the least valuation
+    of the coordinates: the characters have order ell^k).
 
-    Each orbit contains exactly one vector v whose first unit coordinate is
-    1; that normal form enumerates the orbits.  If v's first nonzero
-    coordinate is ell^t * w, w a unit, it reads ell^t * (u w mod ell^(k-t))
-    in u * v, so the least member is u * v for some u = w^-1 mod ell^(k-t):
-    a coset of ell^t units, just {1} when that coordinate is the pivot.
+    Built coordinate by coordinate: the units fixing the coordinates chosen
+    so far form U_t = 1 + ell^(n-t) Z, t the least valuation among them
+    (t = n before the first nonzero one).  A next coordinate of valuation s
+    then takes the values ell^s * v, v a unit below ell^(n-max(s, t))
+    (v = 1 for the lead), and leaves U_min(s,t).  Its choices depend only
+    on t, so they are read off one table over the residues, and each row
+    followed by its choices in ascending order keeps the rows sorted with
+    no sort.  int64 below 2^62, Python integers (dtype=object) otherwise,
+    through the same code.
     """
-    m = ell**k
-    reps = []
-    for pivot in range(d):
-        for prefix in product(range(0, m, ell), repeat=pivot):
-            for suffix in product(range(m), repeat=d - 1 - pivot):
-                v = prefix + (1,) + suffix
-                lead = next(x for x in v if x)
-                t = ord_prime(lead, ell)
-                step = ell ** (k - t)
-                coset = range(pow(lead // ell**t, -1, step), m, step)
-                reps.append(min(tuple(u * x % m for x in v) for u in coset))
-    reps.sort()
-    return tuple(reps)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    m = ell**n
+    dtype = np.int64 if m < 2**62 else object
+    # the lead, ascending: zero (t stays n), then ell^s (t = s)
+    reps = np.array([[0]] + [[ell**s] for s in range(n)], dtype=dtype)
+    run = np.arange(-1, n) % (n + 1)
+    if d > 1:
+        # x = ell^s * v is a choice at running t (table row t) when s >= t or
+        # v <= ell^(n-t): a unit below that bound for t < n, the lead's v = 1
+        # at t = n.  d > 1 gives at least m orbits, so the table over
+        # x = 0..m-1 costs no more than the output.
+        x = np.arange(m)
+        val = np.zeros(m, dtype=np.int64)
+        for j in range(1, n + 1):
+            val[x % ell**j == 0] = j
+        t = np.arange(n + 1)[:, None]
+        row_t, choices = np.nonzero((val >= t) | (x // ell**val <= ell ** (n - t)))
+        after = np.minimum(val[choices], row_t)
+        sizes = np.bincount(row_t, minlength=n + 1)
+        starts = np.cumsum(sizes) - sizes
+    for _ in range(d - 1):
+        counts = sizes[run]
+        row = np.repeat(np.arange(len(run)), counts)
+        at = np.repeat(starts[run] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        reps, run = np.column_stack((reps[row], choices[at])), after[at]
+    keep = np.concatenate([np.flatnonzero(run == n - k) for k in range(1, n + 1)])  # drops zero
+    return reps[keep], n - run[keep]
+
+
+def _primitive_orbit_reps(ell: int, k: int, d: int) -> np.ndarray:
+    """Lexicographically least members of the unit-group orbits on the
+    primitive vectors modulo ell^k (those with a unit coordinate), sorted:
+    the exact-level-k block of _orbit_reps(ell, k, d).  A member's lead
+    coordinate is ell^t, and each later coordinate of valuation s is
+    ell^s * v with v a unit below ell^(k-max(s, t)), t the least valuation
+    before it."""
+    reps, levels = _orbit_reps(ell, k, d)
+    return reps[levels == k]
+
+
+def _character_orbits(ell: int, n: int, reps: np.ndarray, levels: np.ndarray) -> list[CharacterOrbit]:
+    """CharacterOrbits for _orbit_reps' rows, whose tuples are zipped from
+    the columns (no list per row is held alongside them)."""
+    sizes = {k: (ell**k, phi_ell_power(ell, k)) for k in range(1, n + 1)}
+    return [
+        CharacterOrbit(ell, n, CharacterIndex(n, v), *sizes[k])
+        for v, k in zip(zip(*reps.T.tolist()), levels.tolist())
+    ]
 
 
 def enumerate_orbits(ell: int, n: int, d: int) -> list[CharacterOrbit]:
-    """All Galois orbits of nontrivial characters of (Z/ell^n Z)^d,
-    sorted by (exact order, representative): levels ascend, and scaling a
-    level's sorted representatives by ell^(n-k) keeps their order."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    orbits = []
-    for k in range(1, n + 1):
-        scale = ell ** (n - k)
-        for prim in _primitive_orbit_reps(ell, k, d):
-            rep = CharacterIndex(n, tuple(scale * x for x in prim))
-            orbits.append(CharacterOrbit(ell, n, rep, ell**k, phi_ell_power(ell, k)))
-    return orbits
+    """All Galois orbits of nontrivial characters of (Z/ell^n Z)^d, sorted
+    by (exact order, representative), from one construction of the least
+    members over the nonzero vectors mod ell^n (_orbit_reps): a member's
+    lead coordinate is ell^t and each later coordinate of valuation s is
+    ell^s times a unit below ell^(n-max(s, t)), t the least valuation
+    before it; the exact order is ell^(n - least valuation)."""
+    return _character_orbits(ell, n, *_orbit_reps(ell, n, d))
 
 
 def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LValueRecord]:
     """All orbit records at layer n in canonical order: the pi-adic order
     of each orbit product, and its exact integer (a resultant norm).
 
-    An orbit of exact order ell^k takes its order from level_ords(k) and
-    its integer from the norm of its value at level k (degree phi(ell^k),
-    not phi(ell^n)), which equals the orbit product.  A positive digit
-    limit skips integer values whose predicted size (phi * log10 of the
-    coefficient 1-norm, an upper bound) exceeds it; orders stay exact.  The
-    spec goes through TowerCalculator, so an inadmissible base or a
+    The orbits are enumerated once (_orbit_reps).  An orbit of exact order
+    ell^k takes its value at level k (degree phi(ell^k), not phi(ell^n)),
+    whose norm equals the orbit product, and the value and its order come
+    from one character_values and pi_adic_ords pass per level.  A positive
+    digit limit skips integer values whose predicted size (phi * log10 of
+    the coefficient 1-norm, an upper bound) exceeds it; orders stay exact.
+    The spec goes through TowerCalculator, so an inadmissible base or a
     disconnected tower is rejected as in the tables.
     """
     calc = TowerCalculator(spec)
-    orbits = iter(enumerate_orbits(spec.ell, n, spec.d))
+    ell = spec.ell
+    reps, levels = _orbit_reps(ell, n, spec.d)
+    orbits = iter(_character_orbits(ell, n, reps, levels))
     out = []
     for k in range(1, n + 1):
-        for value, order in zip(calc.level_values(k), calc.level_ords(k)):
-            skip = 0 < digit_limit < _digit_bound(value)
-            out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
+        for rows in calc._level_rows(k, reps[levels == k] // ell ** (n - k)):
+            ords = pi_adic_ords(rows, ell).tolist()  # before the rows become lists
+            for row, order in zip(rows.tolist(), ords):
+                value = CycInt(ell, k, row)
+                skip = 0 < digit_limit < _digit_bound(value)
+                out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
     return out
 
 
@@ -244,29 +293,22 @@ class TowerCalculator:
             self._base = kappa_matrix_tree(self.spec.base, self.spec.ell)
         return self._base
 
-    def _level_rows(self, k: int):
-        """Values of all exact-level-k orbit representatives, in the order
-        of _primitive_orbit_reps(ell, k, d), as successive arrays of
-        power-basis rows (character_values) of at most about _CHUNK_ENTRIES
-        work entries each."""
+    def _level_rows(self, k: int, prims: np.ndarray):
+        """Values of the exact-level-k representatives prims, as successive
+        arrays of power-basis rows (character_values) of at most about
+        _CHUNK_ENTRIES work entries each."""
         ell = self.spec.ell
-        prims = _primitive_orbit_reps(ell, k, self.spec.d)
         step = max(1, _CHUNK_ENTRIES // ell**k)
         for i in range(0, len(prims), step):
             yield character_values(self.poly, ell, k, prims[i : i + step])
-
-    def level_values(self, k: int):
-        """The exact-level-k orbit values as CycInts, read from _level_rows(k)."""
-        for rows in self._level_rows(k):
-            for row in rows.tolist():
-                yield CycInt(self.spec.ell, k, row)
 
     def level_ords(self, k: int) -> tuple[int, ...]:
         """pi-adic orders of all exact-level-k orbit values, aligned with
         _primitive_orbit_reps(ell, k, d): one pi_adic_ords pass per chunk."""
         got = self._level_ords.get(k)
         if got is None:
-            chunks = [pi_adic_ords(rows, self.spec.ell) for rows in self._level_rows(k)]
+            prims = _primitive_orbit_reps(self.spec.ell, k, self.spec.d)
+            chunks = [pi_adic_ords(rows, self.spec.ell) for rows in self._level_rows(k, prims)]
             got = self._level_ords[k] = tuple(np.concatenate(chunks).tolist())
         return got
 
@@ -274,8 +316,9 @@ class TowerCalculator:
         """Norms of the exact-level-k orbit values, checked against level_ords(k)."""
         got = self._level_norms.get(k)
         if got is None:
-            pairs = zip(self.level_values(k), self.level_ords(k))
-            got = self._level_norms[k] = tuple(_checked_norm(v, o) for v, o in pairs)
+            ell, prims = self.spec.ell, _primitive_orbit_reps(self.spec.ell, k, self.spec.d)
+            values = (CycInt(ell, k, row) for rows in self._level_rows(k, prims) for row in rows.tolist())
+            got = self._level_norms[k] = tuple(_checked_norm(v, o) for v, o in zip(values, self.level_ords(k)))
         return got
 
     def ord_valuation(self, n: int) -> int:

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,7 +189,74 @@ def test_representative_is_lexicographically_least():
                     for suffix in product(range(m), repeat=d - 1 - pivot):
                         v = prefix + (1,) + suffix
                         brute.append(min(tuple(u * x % m for x in v) for u in units))
-            assert _primitive_orbit_reps(ell, k, d) == tuple(sorted(brute)), (ell, k, d)
+            got = _primitive_orbit_reps(ell, k, d).tolist()
+            assert got == [list(v) for v in sorted(brute)], (ell, k, d)
+
+
+def _brute_orbits(ell, n, d):
+    """(exact order, least member, size) of every orbit of nonzero vectors
+    mod ell^n under all units: scanning in lexicographic order, an orbit's
+    first vector seen is its least member."""
+    m = ell**n
+    units = [u for u in range(1, m) if u % ell]
+    seen, out = set(), []
+    for v in product(range(m), repeat=d):
+        if any(v) and v not in seen:
+            orbit = {tuple(u * x % m for x in v) for u in units}
+            seen |= orbit
+            low = min(ord_prime(x, ell) for x in v if x)
+            out.append((ell ** (n - low), v, len(orbit)))
+    return sorted(out)
+
+
+def test_enumerate_orbits_matches_brute_force_partition():
+    for ell, d in product((2, 3, 5, 7), (1, 2, 3, 4)):
+        for n in range(1, 6):
+            if ell ** (n * d) > 5000:
+                break
+            got = [(o.exact_order, o.representative.vector, o.size) for o in enumerate_orbits(ell, n, d)]
+            assert got == _brute_orbits(ell, n, d), (ell, n, d)
+
+
+def test_orbit_counts_match_closed_form():
+    # (ell^(dk) - ell^(d(k-1))) / phi(ell^k) orbits of exact order ell^k
+    for ell, n, d in ((2, 10, 2), (3, 7, 2), (2, 6, 3), (5, 3, 3), (7, 2, 4), (3, 2, 5), (2, 40, 1)):
+        reps, levels = lfunctions._orbit_reps(ell, n, d)
+        counts = np.bincount(levels, minlength=n + 1).tolist()
+        want = [(ell ** (d * k) - ell ** (d * (k - 1))) // phi_ell_power(ell, k) for k in range(1, n + 1)]
+        assert counts == [0] + want, (ell, n, d)
+        assert len(reps) == len(levels) == sum(want)
+        assert len(_primitive_orbit_reps(ell, n, d)) == want[-1]
+
+
+@pytest.mark.parametrize("ell, n", [(2, 62), (2, 63), (2, 70), (3, 40), (3, 41)])
+def test_orbits_stay_exact_past_int64(ell, n):
+    # the one orbit of exact order ell^k is that of ell^(n-k); vectors past
+    # 2^63 come out as Python integers, not wrapped int64
+    orbits = enumerate_orbits(ell, n, 1)
+    assert [o.representative.vector for o in orbits] == [(ell ** (n - k),) for k in range(1, n + 1)]
+    assert [(o.exact_order, o.size) for o in orbits] == [(ell**k, phi_ell_power(ell, k)) for k in range(1, n + 1)]
+    assert all(type(o.representative.vector[0]) is int for o in orbits)
+    assert _primitive_orbit_reps(ell, n, 1).tolist() == [[1]]
+
+
+def test_orbit_records_enumerate_once(monkeypatch):
+    # one enumeration per call, and one value pass per level (each level
+    # here fits in one chunk)
+    calls = {"reps": 0, "values": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lfunctions, "_orbit_reps", counted("reps", lfunctions._orbit_reps))
+    monkeypatch.setattr(lfunctions, "character_values", counted("values", lfunctions.character_values))
+    records = orbit_records(E1, 4)
+    assert calls == {"reps": 1, "values": 4}
+    assert [r.orbit for r in records] == enumerate_orbits(2, 4, 2)
 
 
 def test_orbit_values_example_one():
