@@ -19,6 +19,7 @@ convenient for trivial characters.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -220,12 +221,21 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
     Fields, ch. 1).  Dividing a row's ell-content ell^c out contributes
     c * phi; what remains is nonzero modulo ell, so its order r is below
     phi and equals the multiplicity of the root 1 of its coefficient
-    polynomial over F_ell.  Each division by X - 1 is one cumsum mod ell
-    over the whole batch, taken from the constant term: it divides the
+    polynomial over F_ell.  Each division by X - 1 is one cumsum over the
+    whole batch, taken from the constant term: it divides the
     reversed row X^(phi-1) f(1/X), whose multiplicity at 1 is the same.
     Only the rows whose remainder is still 0 take the next step.  Level 0
     (phi = 1) is the plain ell-adic valuation of an integer.  A zero row
     raises ValueError.
+
+    The division steps reduce lazily: only the last column is taken mod
+    ell.  Residues start in [0, ell - 1] as int64 (for object rows too),
+    and j cumsums since the last reduction leave every entry at most
+    (ell - 1) * C(phi - 1 + j, j), so each cumsum multiplies the bound by
+    (phi - 1 + j) / j <= phi.  The whole array is reduced mod ell only
+    before a cumsum that could pass 2^62: every 10 steps at (2, 9),
+    phi = 256, every 8 at (3, 6), phi = 486 and at (5, 4), phi = 500,
+    and never at (2, 6), phi = 32, where phi steps stay below 2^62.
     """
     phi = rows.shape[1]
     ords = np.zeros(len(rows), dtype=np.int64)
@@ -240,14 +250,19 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
         low[idx] = high % ell
         done = low[idx].any(axis=1)
         idx, high = idx[~done], high[~done]
-    # the remainder is the last column; a kept row ends in that 0, so after
-    # the next cumsum the last column is again the remainder
+    # the remainder is the last column mod ell; a kept row ends in that 0
+    # mod ell, so after the next cumsum the last column is again the remainder
     idx = np.arange(len(rows))
+    steps = 0  # cumsums since low was last reduced mod ell
     while idx.size:
-        low = np.cumsum(low, axis=1)
-        np.remainder(low, ell, out=low)
-        keep = low[:, -1] == 0
-        idx, low = idx[keep], low[keep]
+        if (ell - 1) * comb(phi + steps, steps + 1) > 2**62:
+            np.remainder(low, ell, out=low)
+            steps = 0
+        np.cumsum(low, axis=1, out=low)
+        steps += 1
+        keep = low[:, -1] % ell == 0
+        if not keep.all():
+            idx, low = idx[keep], low[keep]
         ords[idx] += 1
     return ords
 

@@ -18,6 +18,10 @@ coordinate of valuation s is ell^s * v with v a unit below
 ell^(n-max(s, t)), t the least valuation before it.  So the
 representatives of all levels are built directly, in sorted order, as one
 integer array (_orbit_reps), never by a minimum over an orbit or a coset.
+CharacterIndex, CharacterOrbit and LValueRecord are typing.NamedTuple
+records: immutable, hashable, equal field by field and picklable, and
+cheaper to build than frozen dataclasses, since a table builds one orbit
+record per orbit of every layer.
 
 The tree-number identity used everywhere downstream:
 
@@ -36,7 +40,7 @@ The only cache is TowerCalculator's per-level orders and norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +50,6 @@ from .cyclotomic import (  # noqa: F401  (pi_adic_ord: perfbench/tracer.py looks
     phi_ell_power,
     pi_adic_ord,
     pi_adic_ords,
-    zeta_power,
 )
 from .graphs import validate_base
 from .linalg import det_in_ring
@@ -55,14 +58,12 @@ from .treecount import TreeCount, kappa_matrix_tree, ord_prime
 from .voltage import DisconnectedCoverError, VoltageSpec, check_tower_connectivity, reduce_voltage
 
 
-@dataclass(frozen=True)
-class CharacterIndex:
+class CharacterIndex(NamedTuple):
     level: int
     vector: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CharacterOrbit:
+class CharacterOrbit(NamedTuple):
     ell: int
     level: int
     representative: CharacterIndex
@@ -76,8 +77,7 @@ class CharacterOrbit:
         return [CharacterIndex(self.level, v) for v in sorted(out)]
 
 
-@dataclass(frozen=True)
-class LValueRecord:
+class LValueRecord(NamedTuple):
     orbit: CharacterOrbit
     ord_ell: int
     integer_value: int | None
@@ -86,42 +86,41 @@ class LValueRecord:
 # the oracle: one twisted determinant per character ------------------------------
 
 
-def twisted_adjacency(spec: VoltageSpec, n: int, chi: CharacterIndex):
-    """The adjacency matrix twisted by the character indexed by chi:
-    entry (i, j) sums zeta^(a.alpha(s)) over section edges from v_i to
-    v_j plus zeta^(-a.alpha(s)) over those from v_j to v_i."""
+def _twisted_counts(spec: VoltageSpec, n: int, chi: CharacterIndex, sign: int):
+    """sign times the twisted adjacency matrix, each entry (i, j) as its
+    coefficient list over the exponents 0..ell^n - 1 of zeta."""
     if chi.level != n:
         raise ValueError("character level does not match the requested layer")
     if len(chi.vector) != spec.d:
         raise ValueError("character index has the wrong number of coordinates")
     g = spec.base
-    ell = spec.ell
-    m = ell**n
+    m = spec.ell**n
     alpha_n = reduce_voltage(spec, n)
-    rows = [[CycInt.zero(ell, n) for _ in range(g.n_vertices)] for _ in range(g.n_vertices)]
+    rows = [[[0] * m for _ in range(g.n_vertices)] for _ in range(g.n_vertices)]
     for idx, s in enumerate(spec.section.edges):
         i, j = g.origin(s), g.terminus(s)
         c = sum(a * b for a, b in zip(chi.vector, alpha_n[idx])) % m
-        rows[i][j] = rows[i][j] + zeta_power(ell, n, c)
-        rows[j][i] = rows[j][i] + zeta_power(ell, n, -c)
+        rows[i][j][c] += sign
+        rows[j][i][-c % m] += sign
     return rows
+
+
+def twisted_adjacency(spec: VoltageSpec, n: int, chi: CharacterIndex):
+    """The adjacency matrix twisted by the character indexed by chi:
+    entry (i, j) sums zeta^(a.alpha(s)) over section edges from v_i to
+    v_j plus zeta^(-a.alpha(s)) over those from v_j to v_i."""
+    rows = _twisted_counts(spec, n, chi, 1)
+    return [[CycInt.from_exponents(spec.ell, n, entry) for entry in row] for row in rows]
 
 
 def l_value_at_one(spec: VoltageSpec, n: int, chi: CharacterIndex) -> CycInt:
     """det(D - A_psi): the special value of the twisted determinant
     polynomial at u = 1.  Zero exactly at the trivial character (for a
     connected tower)."""
-    g = spec.base
-    a_psi = twisted_adjacency(spec, n, chi)
-    val = g.valencies()
-    rows = [
-        [
-            (CycInt.integer(spec.ell, n, val[i]) - a_psi[i][j]) if i == j else -a_psi[i][j]
-            for j in range(g.n_vertices)
-        ]
-        for i in range(g.n_vertices)
-    ]
-    return det_in_ring(rows)
+    rows = _twisted_counts(spec, n, chi, -1)
+    for i, v in enumerate(spec.base.valencies()):
+        rows[i][i][0] += v
+    return det_in_ring([[CycInt.from_exponents(spec.ell, n, entry) for entry in row] for row in rows])
 
 
 # orbit enumeration ------------------------------------------------------------

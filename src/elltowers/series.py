@@ -163,12 +163,13 @@ class ClassicalPoint:
     exponents: tuple[int, ...]
 
 
-def evaluate_at_classical_point(spec: VoltageSpec, point: ClassicalPoint) -> CycInt:
-    """Exact value of Q at a classical point, i.e. P at x_i = zeta^(a_i).
-    This equals the twisted special value on the nose."""
-    if len(point.exponents) != spec.d:
+def evaluate_at_classical_point(poly: LaurentPoly, point: ClassicalPoint) -> CycInt:
+    """Exact value of Q at a classical point, i.e. P at x_i = zeta^(a_i),
+    for the tower whose P = char_poly(spec) is given.  This equals the
+    twisted special value on the nose."""
+    if any(len(e) != len(point.exponents) for e in poly.terms):
         raise ValueError("point arity does not match the tower rank")
-    return character_value(char_poly(spec), point.ell, point.level, point.exponents)
+    return character_value(poly, point.ell, point.level, point.exponents)
 
 
 # one-variable Weierstrass data --------------------------------------------------

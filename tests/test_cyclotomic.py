@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,44 @@ def test_pi_adic_ords_batch_matches_norm_valuation(data):
     want = [ord_prime(abs(norm_to_int(y)), ell) for y in batch]
     assert pi_adic_ords(rows, ell).tolist() == want
     assert [pi_adic_ord(y) for y in batch] == want
+
+
+def _high_order_element(rng, ell, level, c, r):
+    """u * ell^c * prod_s (1 - zeta^(ell^s))^(e_s) with e_s the base-ell
+    digits of r, as a coefficient list: small coefficients, and order
+    c * phi + r, since 1 - zeta^(ell^s) has exact order ell^s and u is a
+    unit (u(1) is not 0 mod ell)."""
+    phi = phi_ell_power(ell, level)
+    coeffs = [rng.randint(-2, 2) for _ in range(phi)]
+    coeffs[0] += 1 - sum(coeffs) % ell
+    y = CycInt(ell, level, coeffs)
+    one = CycInt.one(ell, level)
+    s = 0
+    while r:
+        r, e = divmod(r, ell)
+        for _ in range(e):
+            y = (one - zeta_power(ell, level, ell**s)) * y
+        s += 1
+    return [x * ell**c for x in y.coeffs]
+
+
+@pytest.mark.parametrize("ell, level", [(2, 9), (3, 6), (5, 4)])
+def test_pi_adic_ords_lazy_reduction_at_wide_levels(ell, level):
+    # phi = 256, 486 and 500: orders up to phi - 1 take hundreds of division
+    # steps, so the lazily reduced residues are reduced mod ell many times;
+    # rows of one batch drop out at different steps
+    rng = random.Random(ell * 100 + level)
+    phi = phi_ell_power(ell, level)
+    cases = [(0, phi - 1), (1, phi - 2), (2, 0), (0, 1)]
+    cases += [(rng.randint(0, 2), rng.randrange(30, phi)) for _ in range(6)]
+    rows = [_high_order_element(rng, ell, level, c, r) for c, r in cases]
+    want = [c * phi + r for c, r in cases]
+    assert max(abs(x) for row in rows for x in row) < 2**20
+    assert pi_adic_ords(np.array(rows, dtype=np.int64), ell).tolist() == want
+    # one row past 2^62 makes the batch Python integers, through the same code
+    rows.append(_high_order_element(rng, ell, level, 62, phi // 2 + 3))
+    want.append(62 * phi + phi // 2 + 3)
+    assert pi_adic_ords(np.array(rows, dtype=object), ell).tolist() == want
 
 
 def test_pi_adic_ords_rejects_a_zero_row():

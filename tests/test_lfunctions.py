@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import product
 
@@ -257,6 +258,28 @@ def test_orbit_records_enumerate_once(monkeypatch):
     records = orbit_records(E1, 4)
     assert calls == {"reps": 1, "values": 4}
     assert [r.orbit for r in records] == enumerate_orbits(2, 4, 2)
+
+
+def test_orbit_records_are_immutable_hashable_and_picklable():
+    orbits = enumerate_orbits(3, 3, 2)
+    orbit = orbits[7]
+    with pytest.raises(AttributeError):
+        orbit.size = 1
+    with pytest.raises(AttributeError):
+        orbit.representative.vector = (0, 1)
+    # built again from its own construction: a different object, equal and
+    # with the same hash
+    again = enumerate_orbits(3, 3, 2)
+    assert again[7] is not orbit and again[7] == orbit and hash(again[7]) == hash(orbit)
+    assert len(set(orbits) | set(again)) == len(orbits)
+    assert orbits[6] != orbit
+    assert pickle.loads(pickle.dumps(orbits)) == orbits
+    assert orbit.members()[0] == orbit.representative
+    records = orbit_records(E4, 3)
+    assert len(records) == len(orbits)
+    for i, record in enumerate(records):
+        assert record.orbit == orbits[i]
+    assert pickle.loads(pickle.dumps(records)) == records
 
 
 def test_orbit_values_example_one():

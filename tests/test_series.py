@@ -70,13 +70,15 @@ def test_mu_of_char_poly_matches_fitted_leading_coefficient():
 
 
 def test_classical_point_trivial_is_zero():
-    assert evaluate_at_classical_point(E1, ClassicalPoint(2, 1, (0, 0))).is_zero()
+    assert evaluate_at_classical_point(char_poly(E1), ClassicalPoint(2, 1, (0, 0))).is_zero()
 
 
 def test_classical_point_example():
-    got = evaluate_at_classical_point(E1, ClassicalPoint(2, 1, (1, 0)))
+    got = evaluate_at_classical_point(char_poly(E1), ClassicalPoint(2, 1, (1, 0)))
     assert got == l_value_at_one(E1, 1, CharacterIndex(1, (1, 0)))
     assert got.constant_value() == 4
+    with pytest.raises(ValueError):
+        evaluate_at_classical_point(char_poly(E1), ClassicalPoint(2, 1, (1,)))
 
 
 @settings(max_examples=12, deadline=None)
@@ -87,7 +89,7 @@ def test_classical_point_matches_l_value(seed):
     n = rng.randint(1, 2)
     m = spec.ell**n
     vec = tuple(rng.randrange(m) for _ in range(spec.d))
-    lhs = evaluate_at_classical_point(spec, ClassicalPoint(spec.ell, n, vec))
+    lhs = evaluate_at_classical_point(char_poly(spec), ClassicalPoint(spec.ell, n, vec))
     rhs = l_value_at_one(spec, n, CharacterIndex(n, vec))
     assert lhs == rhs
 
