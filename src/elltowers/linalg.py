@@ -11,10 +11,10 @@ searches its pivot in rows k..R_k and updates rows k+1..R_k, where R_k is
 read from the pattern alone.  With w = max(R_k - k), a narrow band has
 w + 1 rows per step whatever n is; dense elimination is the case
 w = n - 1.  Only a strip of the matrix, 2w + 1 rows high, is held per
-prime, and the batch is sized so that the strips fit in the memory of one
-dense n x n int64 copy (at least 4 MB).  The lazy-reduction guard bounds
-the products one entry absorbs between reductions by w + 1, so the size
-limit is on the band, not on n.
+prime; all primes go in one pass when their strips fit in the memory of
+three dense n x n int64 copies (at least 4 MB).  The lazy-reduction guard
+bounds the products one entry absorbs between reductions by w + 1, so the
+size limit is on the band, not on n.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def solve_linear_fractions(matrix, rhs):
 
 
 _MOD_PRIME_BITS = 25  # an entry absorbs at most w + 1 products of < 2^50 between reductions
-_BATCH_BYTES = 4 << 20  # least strip memory of one det_mod_prime call from det_exact_modular
+_BATCH_BYTES = 4 << 20  # least strip memory of one det_mod_prime pass from det_exact_modular
 
 
 def _envelope(mat: np.ndarray):
@@ -280,31 +280,36 @@ def _rcm_order(pattern: np.ndarray) -> list[int]:
 def det_exact_modular(rows) -> int:
     """Exact determinant of an integer matrix by CRT over 25-bit primes.
 
-    The matrix is first permuted symmetrically by the reverse Cuthill-McKee
-    order of its pattern, which narrows the envelope det_mod_prime
-    eliminates in and leaves the determinant alone; only one n x n int64
-    copy is held.  The number of primes is chosen so their product exceeds
+    ``rows`` is an int64 array or any iterable of integer rows, with
+    entries below 2^25 in absolute value.  The matrix is first permuted
+    symmetrically by the reverse Cuthill-McKee order of its pattern, which
+    narrows the envelope det_mod_prime eliminates in and leaves the
+    determinant alone.  The pattern goes once the order is known, and the
+    input once it is permuted, unless the caller still holds it: the
+    permuted int32 copy is the one n x n array kept through elimination.
+    The number of primes is chosen so their product exceeds
     twice a bound on |det|, which makes the centered CRT lift exact; this
     is a deterministic computation, not a probabilistic one.  The bound is
     Hadamard's, the product of the row norms, unless the matrix is
     symmetric and weakly diagonally dominant with a nonnegative diagonal:
     then it is positive semidefinite by Gershgorin, and det <= prod a_ii
     (Hadamard-Fischer) needs fewer primes.  The prime list is built first
-    and goes to det_mod_prime in batches whose strips together fit in
-    max(n^2 int64, 4 MB), about as much as one dense copy of the matrix.
+    and goes to det_mod_prime in one pass when the strips of all primes fit
+    in max(3 n^2 int64, 4 MB), three dense copies of the matrix; otherwise
+    in the fewest passes that fit, with pass sizes differing by at most one.
     """
-    n = len(rows)
+    mat = np.asarray(rows, dtype=np.int64)
+    del rows  # so that rebinding mat below frees an array argument
+    n = len(mat)
     if n == 0:
         return 1
-    pattern = np.array(rows, dtype=bool)
-    order = _rcm_order(pattern | pattern.T)
-    mat = np.array([rows[i] for i in order], dtype=np.int64)
-    columns = np.array(order)
-    for row in mat:  # in place, so no second n x n copy is held
-        row[:] = row[columns]
     if np.any(np.abs(mat) >= 1 << _MOD_PRIME_BITS):
         raise ValueError("entries too large for the modular path")
-    norms = np.square(mat, dtype=np.float64).sum(axis=1)
+    pattern = mat != 0
+    order = _rcm_order(pattern | pattern.T)
+    del pattern
+    mat = mat.astype(np.int32)[np.ix_(order, order)]
+    norms = np.einsum("ij,ij->i", mat, mat, dtype=np.float64)  # no n x n temporary
     if not norms.all():
         return 0
     diag = mat.diagonal()
@@ -325,10 +330,12 @@ def det_exact_modular(rows) -> int:
         got += math.log2(c)
         c -= 2
     _, _, _, shape = _envelope(mat)
-    batch = max(1, max(8 * n * n, _BATCH_BYTES) // (8 * shape[0] * shape[1]))
+    fits = max(1, max(24 * n * n, _BATCH_BYTES) // (8 * shape[0] * shape[1]))
+    passes = -(-len(primes) // fits)
+    cuts = [i * len(primes) // passes for i in range(passes + 1)]
     residues = []
-    for i in range(0, len(primes), batch):
-        residues += det_mod_prime(mat, primes[i:i + batch])
+    for lo, hi in zip(cuts, cuts[1:]):
+        residues += det_mod_prime(mat, primes[lo:hi])
 
     x = 0
     modulus = 1

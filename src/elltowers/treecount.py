@@ -1,15 +1,18 @@
 """Spanning-tree counts via the matrix-tree theorem, exactly.
 
 Delete a row and the matching column of the Laplacian D - A and take the
-determinant: that is the number of spanning trees.  Loops cancel between
-D and A and contribute nothing.  Small matrices go through fraction-free
-Bareiss elimination.  Large ones are ordered by reverse Cuthill-McKee,
-which reads only the nonzero pattern and turns a layer's few nonzeros per
-row into a narrow band, and then go through the CRT-modular determinant,
-which eliminates a batch of primes at once inside that envelope: equally
-exact (a reduced Laplacian is symmetric and diagonally dominant, so the
-product of its diagonal bounds the prime count) and vastly faster at a
-thousand vertices.
+determinant: that is the number of spanning trees, and 0 exactly when the
+graph is disconnected.  Loops cancel between D and A and contribute
+nothing.  The reduced Laplacian is an int64 array built from the edge
+pairs.  Up to BAREISS_LIMIT rows it goes through fraction-free Bareiss
+elimination, which is the faster route below about 32 rows.  Larger ones
+are ordered by reverse Cuthill-McKee, which reads only the nonzero pattern
+and turns a layer's few nonzeros per row into a narrow band, and then go
+through the CRT-modular determinant, which eliminates its primes
+together inside that envelope, in one pass while their strips fit in
+three dense copies of the matrix: equally exact (a reduced Laplacian is
+symmetric and diagonally dominant, so the product of its diagonal bounds
+the prime count) and vastly faster at a thousand vertices.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import MultiGraph
 from .linalg import bareiss_det, det_exact_modular
 
-BAREISS_LIMIT = 64
+BAREISS_LIMIT = 32
 
 
 class DisconnectedGraphError(ValueError):
@@ -46,30 +51,39 @@ def ord_prime(k: int, ell: int) -> int:
     return e
 
 
-def reduced_laplacian(g: MultiGraph, drop: int = 0) -> list[list[int]]:
+def reduced_laplacian(g: MultiGraph, drop: int = 0) -> np.ndarray:
+    """The Laplacian D - A without row and column ``drop``, as an int64 array.
+
+    Built from the edge pairs by bincounts: an edge adds 1 to the valency
+    of each end and -1 to the two entries it joins, so a loop adds 2 and
+    -2 to the same diagonal entry and cancels.
+    """
     n = g.n_vertices
-    lap = [[0] * n for _ in range(n)]
-    val = g.valencies()
-    for i in range(n):
-        lap[i][i] = val[i]
-    for e in range(0, g.n_directed, 2):
-        a, b = g.origin(e), g.terminus(e)
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-    keep = [i for i in range(n) if i != drop]
-    return [[lap[i][j] for j in keep] for i in keep]
+    if not 0 <= drop < n:
+        raise ValueError(f"cannot drop vertex {drop} of a graph on {n} vertices")
+    a, b = np.array(g.edge_pairs, dtype=np.int64).T
+    val = np.bincount(np.concatenate((a, b)), minlength=n)
+    m = n - 1
+    pos = np.arange(n) - (np.arange(n) > drop)  # reduced index of every vertex but drop
+    inner = (a != drop) & (b != drop)
+    a, b = pos[a[inner]], pos[b[inner]]
+    lap = np.bincount(np.concatenate((a * m + b, b * m + a)), minlength=m * m)
+    lap = np.negative(lap, out=lap).astype(np.int64, copy=False).reshape(m, m)
+    lap.flat[::m + 1] += np.delete(val, drop)
+    return lap
 
 
 def kappa_matrix_tree(g: MultiGraph, ell: int | None = None, drop: int = 0) -> TreeCount:
-    """Exact spanning-tree count of a connected multigraph."""
-    if not g.is_connected():
+    """Exact spanning-tree count of a connected multigraph.
+
+    No separate connectivity test: by the matrix-tree theorem the
+    determinant is 0 exactly when the graph is disconnected.
+    """
+    det = bareiss_det if g.n_vertices - 1 <= BAREISS_LIMIT else det_exact_modular
+    kappa = det(reduced_laplacian(g, drop))
+    if kappa == 0:
         raise DisconnectedGraphError("spanning-tree count requires a connected graph")
-    lap = reduced_laplacian(g, drop)
-    if len(lap) <= BAREISS_LIMIT:
-        kappa = bareiss_det(lap)
-    else:
-        kappa = det_exact_modular(lap)
-    if kappa < 1:
+    if kappa < 0:
         raise RuntimeError(f"matrix-tree determinant came out as {kappa}")
     ord_ell = ord_prime(kappa, ell) if ell is not None else None
     return TreeCount(kappa, ell, ord_ell)

@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .graphs import GraphInputError, MultiGraph, build_graph, graph_from_json, graph_to_json
 from .linalg import is_prime
 
@@ -229,21 +231,18 @@ def derived_graph(
         )
     alpha_n = reduce_voltage(spec, n)
     elements = _group_elements(m, spec.d)
+    vertex_labels = [(v, sigma) for v in range(g.n_vertices) for sigma in elements]
+    edge_labels = [(idx, sigma) for idx in range(g.n_undirected) for sigma in elements]
 
-    vertex_labels = []
-    for v in range(g.n_vertices):
-        for sigma in elements:
-            vertex_labels.append((v, sigma))
-
-    pairs = []
-    edge_labels = []
-    for idx, s in enumerate(spec.section.edges):
-        o, t = g.origin(s), g.terminus(s)
-        volt = alpha_n[idx]
-        for sigma in elements:
-            tau = tuple((x + a) % m for x, a in zip(sigma, volt))
-            pairs.append((o * size + _group_index(sigma, m, spec.d), t * size + _group_index(tau, m, spec.d)))
-            edge_labels.append((idx, sigma))
+    # group indices are base-m numerals, first coordinate most significant,
+    # so sigma's index is its position in ``elements``
+    digits = np.indices((m,) * spec.d).reshape(spec.d, size)
+    place = m ** np.arange(spec.d - 1, -1, -1)
+    shifted = (digits + np.array(alpha_n)[:, :, None]) % m
+    ends = np.array([(g.origin(s), g.terminus(s)) for s in spec.section.edges])
+    heads = ends[:, :1] * size + np.arange(size)
+    tails = ends[:, 1:] * size + place @ shifted
+    pairs = zip(heads.ravel().tolist(), tails.ravel().tolist())
 
     graph = build_graph(g.n_vertices * size, pairs)
     if require_connected and not graph.is_connected():

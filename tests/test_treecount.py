@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from elltowers import (
     DisconnectedGraphError,
     build_graph,
+    derived_graph,
     kappa_by_enumeration,
     kappa_matrix_tree,
     ord_prime,
@@ -18,7 +19,7 @@ from elltowers import linalg
 from elltowers.linalg import bareiss_det, det_exact_modular, det_mod_prime
 from elltowers.treecount import BAREISS_LIMIT, reduced_laplacian
 
-from conftest import random_validated_graph
+from conftest import fixture_spec, random_connected_spec, random_validated_graph
 
 DOUBLED_C4 = build_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)])
 
@@ -45,6 +46,47 @@ def test_disconnected_rejected():
     g = build_graph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         kappa_matrix_tree(g)
+
+
+def test_disconnected_rejected_on_the_modular_path():
+    # two 40-cycles: 79 rows, past the Bareiss limit, and every residue is 0
+    cycle = [(i, (i + 1) % 40) for i in range(40)]
+    g = build_graph(80, cycle + [(a + 40, b + 40) for a, b in cycle])
+    assert g.n_vertices - 1 > BAREISS_LIMIT
+    with pytest.raises(DisconnectedGraphError, match="requires a connected graph"):
+        kappa_matrix_tree(g)
+
+
+def test_reduced_laplacian_is_an_int64_array():
+    # a loop (no contribution), a doubled edge, and every choice of dropped vertex
+    g = build_graph(3, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 2)])
+    full = [[2, -2, 0], [-2, 3, -1], [0, -1, 1]]
+    for drop in range(3):
+        lap = reduced_laplacian(g, drop)
+        assert isinstance(lap, np.ndarray) and lap.dtype == np.int64
+        keep = [i for i in range(3) if i != drop]
+        assert lap.tolist() == [[full[i][j] for j in keep] for i in keep]
+    assert reduced_laplacian(build_graph(1, [(0, 0)])).shape == (0, 0)
+    with pytest.raises(ValueError):
+        reduced_laplacian(g, 3)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_matrix_tree_on_derived_layers_agrees_with_bareiss(seed):
+    # layers of up to 300 vertices whose reduced Laplacian is past the
+    # Bareiss limit, so kappa_matrix_tree takes the modular path
+    rng = random.Random(seed)
+    while True:
+        spec = random_connected_spec(rng, max_vertices=4, d=rng.choice((1, 2)))
+        sizes = {n: spec.base.n_vertices * spec.ell ** (spec.d * n) for n in range(1, 9)}
+        levels = [n for n, v in sizes.items() if BAREISS_LIMIT + 1 < v <= 300]
+        if levels:
+            break
+    g = derived_graph(spec, rng.choice(levels)).graph
+    exact = bareiss_det(reduced_laplacian(g))
+    assert kappa_matrix_tree(g).kappa == exact
+    assert kappa_matrix_tree(g, drop=rng.randrange(1, g.n_vertices)).kappa == exact
 
 
 def test_ord_prime_values():
@@ -179,18 +221,45 @@ def test_band_too_wide_is_refused():
         det_mod_prime(mat, PRIMES)
 
 
-def bits_of_primes_used(rows):
-    """det_exact_modular(rows), checked against Bareiss, and log2 of the
-    product of the primes it took."""
-    seen = []
+def passes_taken(call):
+    """call() under a spy on det_mod_prime; returns its result and the
+    primes of each elimination pass."""
+    passes = []
 
     def spy(mat, primes):
-        seen.extend(primes)
+        passes.append(list(primes))
         return det_mod_prime(mat, primes)
 
     with mock.patch.object(linalg, "det_mod_prime", spy):
-        assert det_exact_modular(rows) == bareiss_det(rows)
-    return sum(math.log2(p) for p in seen)
+        return call(), passes
+
+
+def bits_of_primes_used(rows):
+    """det_exact_modular(rows), checked against Bareiss, and log2 of the
+    product of the primes it took."""
+    det, passes = passes_taken(lambda: det_exact_modular(rows))
+    assert det == bareiss_det(rows)
+    return sum(math.log2(p) for primes in passes for p in primes)
+
+
+def test_layer_of_728_rows_takes_one_elimination_pass():
+    g = derived_graph(fixture_spec("bouquet2_ell3"), 3).graph
+    assert g.n_vertices == 729
+    tc, passes = passes_taken(lambda: kappa_matrix_tree(g, 3))
+    assert len(passes) == 1
+    assert tc.kappa > 0
+
+
+def test_primes_are_shared_out_evenly_when_strips_do_not_fit():
+    # dense upper triangular: the row-norm bound needs 93 primes, and a
+    # 90 x 90 strip leaves room for 64 per pass in 4 MB, so 47 + 46, not 64 + 29
+    rng = random.Random(11)
+    n = 90
+    rows = [[rng.randint(1, 2**24 - 1) if j >= i else 0 for j in range(n)] for i in range(n)]
+    det, passes = passes_taken(lambda: det_exact_modular(rows))
+    assert det == math.prod(rows[i][i] for i in range(n))
+    sizes = [len(primes) for primes in passes]
+    assert len(sizes) > 1 and max(sizes) - min(sizes) <= 1
 
 
 @settings(max_examples=40, deadline=None)
