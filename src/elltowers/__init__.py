@@ -8,13 +8,10 @@ base), and fit the polynomial that the ell-adic valuations follow.
 
 from .cyclotomic import (
     CycInt,
-    epsilon,
     norm_by_conjugates,
     norm_to_int,
     phi_ell_power,
     pi_adic_ord,
-    v_ell,
-    zeta_power,
 )
 from .fit import (
     GreenbergFit,

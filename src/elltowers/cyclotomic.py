@@ -18,7 +18,6 @@ convenient for trivial characters.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -143,18 +142,6 @@ class CycInt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined in the integer ring")
-        result = CycInt.one(self.ell, self.level)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = CycInt.integer(self.ell, self.level, other)
@@ -194,18 +181,6 @@ class CycInt:
         if not self.is_rational_integer():
             raise ValueError("element is not a rational integer")
         return self.coeffs[0]
-
-
-def zeta_power(ell: int, level: int, k: int) -> CycInt:
-    """The residue class of zeta^k (k reduced modulo ell^level)."""
-    m = ell**level
-    e = k % m
-    return CycInt.from_exponents(ell, level, [0] * e + [1])
-
-
-def epsilon(ell: int, level: int, a: int) -> CycInt:
-    """(1 - zeta^a)(1 - zeta^(-a)), expanded as 2 - zeta^a - zeta^(-a)."""
-    return CycInt.integer(ell, level, 2) - zeta_power(ell, level, a) - zeta_power(ell, level, -a)
 
 
 # valuations -----------------------------------------------------------------
@@ -272,16 +247,6 @@ def pi_adic_ord(x: CycInt) -> int:
     pi_adic_ords on the single row of x's coefficients."""
     dtype = np.int64 if max(map(abs, x.coeffs)) < 2**62 else object
     return int(pi_adic_ords(np.array([x.coeffs], dtype=dtype), x.ell)[0])
-
-
-def v_ell(x: CycInt) -> Fraction:
-    """The ell-adic valuation of x, normalized so v_ell(ell) = 1.
-
-    Equals ord_ell(norm_to_int(x)) / phi(ell^n): the prime above ell is
-    totally ramified, so all conjugates share one valuation and the norm
-    formula collapses to the pi-adic order divided by phi.
-    """
-    return Fraction(pi_adic_ord(x), phi_ell_power(x.ell, x.level))
 
 
 # norms ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ w = n - 1.  Only a strip of the matrix, 2w + 1 rows high, is held per
 prime; all primes go in one pass when their strips fit in the memory of
 three dense n x n int64 copies (at least 4 MB).  The lazy-reduction guard
 bounds the products one entry absorbs between reductions by w + 1, so the
-size limit is on the band, not on n.
+size limit is on the band, not on n, and the primes are as wide as the
+band allows: 2^28 to 2^29 on the bands of tower layers, never below 2^25.
 """
 
 from __future__ import annotations
@@ -153,8 +154,15 @@ def solve_linear_fractions(matrix, rhs):
     return [a[i][n] for i in range(n)]
 
 
-_MOD_PRIME_BITS = 25  # an entry absorbs at most w + 1 products of < 2^50 between reductions
+_MOD_PRIME_BITS = 25  # entries are below 2^25, and so are the narrowest CRT primes
 _BATCH_BYTES = 4 << 20  # least strip memory of one det_mod_prime pass from det_exact_modular
+
+
+def _prime_ceiling(height: int) -> int:
+    """Largest p with height (p - 1)^2 + 2^25 < 2^62: between two refills an
+    entry starts below 2^25 in absolute value and absorbs at most height
+    products below (p - 1)^2."""
+    return math.isqrt(((1 << 62) - (1 << _MOD_PRIME_BITS) - 1) // height) + 1
 
 
 def _envelope(mat: np.ndarray):
@@ -198,21 +206,25 @@ def det_mod_prime(mat: np.ndarray, primes) -> list[int]:
     rather than C_k <= k + 2w.  A window of w + 1 rows slides down the strip
     as a view, and every w + 1 steps the strip is refilled: the rows
     elimination has touched move up, reduced modulo p, and the rest are
-    read from ``mat``.  Nothing is copied per step.  Per prime, Python
-    computes only the pivot inverse; a prime whose pivot column vanishes
-    gets residue 0 and stays in the batch with zero row factors.
+    copied raw from ``mat``, the same entries for every prime.  Nothing is
+    copied per step.  Per prime, Python computes only the pivot inverse; a
+    prime whose pivot column vanishes gets residue 0 and stays in the batch
+    with zero row factors.
 
     Reduction is lazy: each step reduces only the pivot column and the
-    pivot row, so between refills an entry absorbs at most w + 1 products
-    below p^2.  The guard refuses a band with (w + 1)(p - 1)^2 + p >= 2^62,
-    which at every p < 2^25 allows w + 1 up to 4096 rows per step; the
-    matrix size n does not enter.
+    pivot row, so between refills an entry starts below 2^25 in absolute
+    value (entries of ``mat`` must be) and absorbs at most w + 1 products
+    below p^2.  The guard refuses a band with (w + 1)(p - 1)^2 + 2^25 >=
+    2^62, which at every p < 2^25 allows w + 1 up to 4096 rows per step, and
+    p up to 2^28 at w + 1 = 64; the matrix size n does not enter.
     """
     primes = [int(p) for p in primes]
     n = mat.shape[0]
+    if n and max(-int(mat.min()), int(mat.max())) >= 1 << _MOD_PRIME_BITS:
+        raise ValueError("entries too large for the modular path")
     rows_to, cols_to, height, shape = _envelope(mat)
     top = max(primes)
-    if height * (top - 1) ** 2 + top >= 1 << 62:
+    if top > _prime_ceiling(height):
         raise ValueError(
             f"band too wide for lazy-reduction elimination: {height} rows per step at p = {top}")
     ps = np.array(primes, dtype=np.int64)
@@ -227,7 +239,7 @@ def det_mod_prime(mat: np.ndarray, primes) -> list[int]:
             m = min(shape[1] - height, nc)
             np.remainder(strip[height:height + kept, height:height + m], ps, out=strip[:kept, :m])
             strip[:kept, m:nc] = 0
-        np.remainder(mat[s + kept:s + nr, s:s + nc, None], ps, out=strip[kept:nr, :nc])
+        strip[kept:nr, :nc] = mat[s + kept:s + nr, s:s + nc, None]
         for k in range(s, min(s + height, n)):
             j = k - s
             low, right = int(rows_to[k]) - s + 1, int(cols_to[k]) - s + 1
@@ -255,14 +267,20 @@ def _rcm_order(pattern: np.ndarray) -> list[int]:
 
     Breadth-first search from a least-degree vertex of each component,
     taking neighbours by increasing degree, then reversed (Cuthill and
-    McKee 1969; George and Liu 1981).  It reads the pattern only.
+    McKee 1969; George and Liu 1981).  A degree is the number of nonzeros
+    in a row, the diagonal included; ties go to the lower index, and the
+    components come in the order of their starting vertices.  It reads the
+    pattern only.
     """
-    adj = [np.flatnonzero(row).tolist() for row in pattern]
-    degree = [len(nbrs) for nbrs in adj]
-    seen = [False] * len(adj)
+    rows, cols = np.nonzero(pattern)
+    degree = np.bincount(rows, minlength=len(pattern))
+    # every row's neighbours, already in the order the search takes them
+    nbrs = cols[np.lexsort((cols, degree[cols], rows))].tolist()
+    cuts = np.concatenate(([0], np.cumsum(degree))).tolist()
+    seen = [False] * len(pattern)
     order = []
     head = 0
-    for start in sorted(range(len(adj)), key=degree.__getitem__):
+    for start in np.argsort(degree, kind="stable").tolist():
         if seen[start]:
             continue
         seen[start] = True
@@ -270,7 +288,7 @@ def _rcm_order(pattern: np.ndarray) -> list[int]:
         while head < len(order):
             v = order[head]
             head += 1
-            for u in sorted(adj[v], key=degree.__getitem__):
+            for u in nbrs[cuts[v]:cuts[v + 1]]:
                 if not seen[u]:
                     seen[u] = True
                     order.append(u)
@@ -278,7 +296,7 @@ def _rcm_order(pattern: np.ndarray) -> list[int]:
 
 
 def det_exact_modular(rows) -> int:
-    """Exact determinant of an integer matrix by CRT over 25-bit primes.
+    """Exact determinant of an integer matrix by CRT over band-sized primes.
 
     ``rows`` is an int64 array or any iterable of integer rows, with
     entries below 2^25 in absolute value.  The matrix is first permuted
@@ -293,10 +311,13 @@ def det_exact_modular(rows) -> int:
     Hadamard's, the product of the row norms, unless the matrix is
     symmetric and weakly diagonally dominant with a nonnegative diagonal:
     then it is positive semidefinite by Gershgorin, and det <= prod a_ii
-    (Hadamard-Fischer) needs fewer primes.  The prime list is built first
-    and goes to det_mod_prime in one pass when the strips of all primes fit
-    in max(3 n^2 int64, 4 MB), three dense copies of the matrix; otherwise
-    in the fewest passes that fit, with pass sizes differing by at most one.
+    (Hadamard-Fischer) needs fewer primes.  The primes are the largest
+    that det_mod_prime's guard admits for the envelope height w + 1, and no
+    narrower than 2^25, so a wide band is refused there rather than run on
+    small primes.  The prime list is built first and goes to det_mod_prime
+    in one pass when the strips of all primes fit in max(3 n^2 int64,
+    4 MB), three dense copies of the matrix; otherwise in the fewest passes
+    that fit, with pass sizes differing by at most one.
     """
     mat = np.asarray(rows, dtype=np.int64)
     del rows  # so that rebinding mat below frees an array argument
@@ -320,16 +341,17 @@ def det_exact_modular(rows) -> int:
         bits = 0.5 * float(np.log2(norms).sum())
     target = bits + 8.0  # float slop + the factor of 2 for the signed lift
 
+    _, _, height, shape = _envelope(mat)
     primes = []
     got = 0.0
-    c = (1 << _MOD_PRIME_BITS) - 1
+    # the largest odd number at or below the ceiling, 2^25 - 1 at the least
+    c = (max(_prime_ceiling(height), 1 << _MOD_PRIME_BITS) - 1) | 1
     while got < target:
         while not is_prime(c):
             c -= 2
         primes.append(c)
         got += math.log2(c)
         c -= 2
-    _, _, _, shape = _envelope(mat)
     fits = max(1, max(24 * n * n, _BATCH_BYTES) // (8 * shape[0] * shape[1]))
     passes = -(-len(primes) // fits)
     cuts = [i * len(primes) // passes for i in range(passes + 1)]

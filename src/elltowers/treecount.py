@@ -10,7 +10,8 @@ are ordered by reverse Cuthill-McKee, which reads only the nonzero pattern
 and turns a layer's few nonzeros per row into a narrow band, and then go
 through the CRT-modular determinant, which eliminates its primes
 together inside that envelope, in one pass while their strips fit in
-three dense copies of the matrix: equally exact (a reduced Laplacian is
+three dense copies of the matrix, with primes as wide as the band allows
+(2^28 to 2^29 on a layer's band): equally exact (a reduced Laplacian is
 symmetric and diagonally dominant, so the product of its diagonal bounds
 the prime count) and vastly faster at a thousand vertices.
 """

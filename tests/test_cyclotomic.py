@@ -1,5 +1,5 @@
+import math
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from elltowers import (
     CycInt,
-    epsilon,
     norm_by_conjugates,
     norm_to_int,
     ord_prime,
     phi_ell_power,
     pi_adic_ord,
-    v_ell,
-    zeta_power,
 )
 from elltowers.cyclotomic import pi_adic_ords
 
@@ -32,6 +29,15 @@ def cyc_elements(ell, level):
 any_level = st.sampled_from(LEVELS)
 
 
+def zeta_power(ell, level, k):
+    """zeta^k, reduced by from_exponents (k modulo ell^level)."""
+    return CycInt.from_exponents(ell, level, [0] * (k % ell**level) + [1])
+
+
+def power(x, k):
+    return math.prod([x] * k, start=CycInt.one(x.ell, x.level))
+
+
 def test_zeta_power_examples():
     assert zeta_power(2, 1, 1) == CycInt.integer(2, 1, -1)
     assert zeta_power(2, 2, 2) == CycInt.integer(2, 2, -1)
@@ -40,34 +46,8 @@ def test_zeta_power_examples():
 
 def test_zeta_has_exact_order():
     z = zeta_power(3, 2, 1)
-    assert z**9 == 1
-    assert z**3 != 1
-
-
-def test_epsilon_examples():
-    for ell, level in LEVELS:
-        assert epsilon(ell, level, 0).is_zero()
-    assert epsilon(2, 1, 1) == CycInt.integer(2, 1, 4)
-    # (1 - i)(1 + i) = 2
-    assert epsilon(2, 2, 1) == CycInt.integer(2, 2, 2)
-
-
-def test_epsilon_is_the_stated_product():
-    for ell, level in LEVELS:
-        m = ell**level
-        for a in range(m):
-            one = CycInt.one(ell, level)
-            prod = (one - zeta_power(ell, level, a)) * (one - zeta_power(ell, level, -a))
-            assert epsilon(ell, level, a) == prod
-
-
-@settings(max_examples=60, deadline=None)
-@given(any_level, st.integers(min_value=-40, max_value=40))
-def test_epsilon_symmetry_and_periodicity(level_pair, a):
-    ell, level = level_pair
-    m = ell**level
-    assert epsilon(ell, level, a) == epsilon(ell, level, -a)
-    assert epsilon(ell, level, a) == epsilon(ell, level, a + m)
+    assert power(z, 9) == 1
+    assert power(z, 3) != 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,7 +73,9 @@ def test_norm_examples():
     for ell, level in LEVELS:
         x = CycInt.one(ell, level) - zeta_power(ell, level, 1)
         assert norm_to_int(x) == ell
-    assert norm_to_int(epsilon(2, 2, 1)) == 4
+    # (1 - i)(1 + i) = 2
+    one = CycInt.one(2, 2)
+    assert norm_to_int((one - zeta_power(2, 2, 1)) * (one - zeta_power(2, 2, -1))) == 4
     assert norm_to_int(CycInt.zero(3, 2)) == 0
 
 
@@ -128,9 +110,9 @@ def test_norm_galois_invariant(data):
 def test_valuation_examples():
     for ell, level in LEVELS:
         x = CycInt.one(ell, level) - zeta_power(ell, level, 1)
-        assert v_ell(x) == Fraction(1, phi_ell_power(ell, level))
-        assert v_ell(CycInt.integer(ell, level, ell)) == 1
-    assert v_ell(CycInt.integer(2, 1, 4)) == 2
+        assert pi_adic_ord(x) == 1
+        assert pi_adic_ord(CycInt.integer(ell, level, ell)) == phi_ell_power(ell, level)
+    assert pi_adic_ord(CycInt.integer(2, 1, 4)) == 2
 
 
 def test_one_minus_root_is_in_the_open_disk():
@@ -138,7 +120,7 @@ def test_one_minus_root_is_in_the_open_disk():
         m = ell**level
         for k in range(1, m):
             x = CycInt.one(ell, level) - zeta_power(ell, level, k)
-            assert v_ell(x) > 0
+            assert pi_adic_ord(x) > 0
 
 
 def test_valuation_rejects_zero():
@@ -158,7 +140,7 @@ def test_pi_adic_ord_matches_norm_valuation(data):
     c = data.draw(st.integers(min_value=0, max_value=2))
     j = data.draw(st.integers(min_value=0, max_value=phi - 1))
     pi = CycInt.one(ell, level) - zeta_power(ell, level, 1)
-    y = x * ell**c * pi**j
+    y = x * ell**c * power(pi, j)
     # total ramification: ord of the norm equals the pi-adic order
     assert ord_prime(abs(norm_to_int(y)), ell) == pi_adic_ord(y)
     assert pi_adic_ord(y) == pi_adic_ord(x) + c * phi + j
@@ -178,7 +160,7 @@ def test_pi_adic_ords_batch_matches_norm_valuation(data):
         x = data.draw(cyc_elements(ell, level).filter(bool))
         c = data.draw(st.integers(min_value=0, max_value=2)) + (64 if wide and i == 0 else 0)
         j = data.draw(st.integers(min_value=0, max_value=phi - 1))
-        batch.append(x * ell**c * pi**j)
+        batch.append(x * ell**c * power(pi, j))
     rows = np.array([y.coeffs for y in batch], dtype=object if wide else np.int64)
     assert wide == (max(abs(c) for y in batch for c in y.coeffs) >= 2**62)
     want = [ord_prime(abs(norm_to_int(y)), ell) for y in batch]
@@ -236,7 +218,6 @@ def test_level_zero_degenerates_to_integers():
     x = CycInt.integer(3, 0, 18)
     assert pi_adic_ord(x) == 2
     assert norm_to_int(x) == 18
-    assert v_ell(x) == 2
 
 
 def test_constant_value_guards():

@@ -143,6 +143,7 @@ def test_modular_determinant_agrees_with_bareiss(seed):
 
 # small primes make zero pivots, and so row swaps inside the band, common
 PRIMES = (2, 3, 5, 7, 33554393)
+WIDEST_ENTRY = (1 << 25) - 1  # the largest entry the modular path takes
 
 
 def random_banded(rng, n, lower, upper, bound):
@@ -221,6 +222,16 @@ def test_band_too_wide_is_refused():
         det_mod_prime(mat, PRIMES)
 
 
+def test_entries_past_2_25_are_refused():
+    # strips take raw entries, and the guard counts on them being below 2^25
+    for entry in (1 << 25, -(1 << 25)):
+        with pytest.raises(ValueError, match="entries too large"):
+            det_mod_prime(np.array([[entry]], dtype=np.int64), PRIMES)
+        with pytest.raises(ValueError, match="entries too large"):
+            det_exact_modular([[entry]])
+    assert det_mod_prime(np.array([[-WIDEST_ENTRY]]), PRIMES) == [-WIDEST_ENTRY % p for p in PRIMES]
+
+
 def passes_taken(call):
     """call() under a spy on det_mod_prime; returns its result and the
     primes of each elimination pass."""
@@ -242,6 +253,103 @@ def bits_of_primes_used(rows):
     return sum(math.log2(p) for primes in passes for p in primes)
 
 
+def rcm_reference(pattern):
+    """Reverse Cuthill-McKee as _rcm_order's docstring states it, in plain
+    Python: breadth-first from the unvisited vertex of least (degree, index),
+    neighbours taken by (degree, index), then reversed."""
+    n = len(pattern)
+    adj = [[j for j in range(n) if pattern[i][j]] for i in range(n)]
+    key = [(len(adj[v]), v) for v in range(n)]
+    order = []
+    for start in sorted(range(n), key=key.__getitem__):
+        if start in order:
+            continue
+        queue = [start]
+        for v in queue:  # a list grown while it is walked is a FIFO queue
+            queue += [u for u in sorted(adj[v], key=key.__getitem__) if u not in queue]
+        order += queue
+    return order[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_rcm_order_follows_its_rule(seed):
+    # vertices fall into a few groups with edges only inside a group, so
+    # there are several components and isolated vertices; degrees are small,
+    # so ties are common; about half the diagonal is set
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    group = [rng.randrange(rng.randint(1, 6)) for _ in range(n)]
+    density = rng.choice((0.03, 0.1, 0.3))
+    pattern = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        pattern[i, i] = rng.random() < 0.5
+        for j in range(i):
+            if group[i] == group[j] and rng.random() < density:
+                pattern[i, j] = pattern[j, i] = True
+    assert linalg._rcm_order(pattern) == rcm_reference(pattern.tolist())
+
+
+def guard_admits(height, p):
+    """Lazy reduction: an entry below 2^25 that absorbs height products
+    below (p - 1)^2 stays below 2^62."""
+    return height * (p - 1) ** 2 + (1 << 25) < 1 << 62
+
+
+def widest_admitted_prime(height):
+    p = math.isqrt((1 << 62) // height) + 2  # just past what the guard admits
+    while not (guard_admits(height, p) and linalg.is_prime(p)):
+        p -= 1
+    return p
+
+
+def next_prime(p):
+    p += 1
+    while not linalg.is_prime(p):
+        p += 1
+    return p
+
+
+# the widest admitted prime loses a bit at heights 4, 16, 64 and 256
+@pytest.mark.parametrize("height", [1, 3, 4, 15, 16, 18, 56, 63, 64, 65])
+def test_widest_primes_the_guard_admits(height):
+    rng = random.Random(height)
+    n = height + 2
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, min(n, i + height)):
+            rows[i][j] = rows[j][i] = rng.choice((-WIDEST_ENTRY, WIDEST_ENTRY))
+    det, passes = passes_taken(lambda: det_exact_modular(rows))
+    assert det == bareiss_det(rows)
+    primes = [p for batch in passes for p in batch]
+    assert all(guard_admits(height, p) for p in primes)
+    top = widest_admitted_prime(height)
+    assert max(primes) == top
+    above = next_prime(top)
+    assert not guard_admits(height, above)
+    with pytest.raises(ValueError, match="band too wide"):
+        det_mod_prime(np.array(rows, dtype=np.int64), [above])
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_widest_primes_the_guard_admits_past_bareiss_size(n):
+    # an arrow, the diagonal plus the last row and column: that row starts in
+    # column 0, so the band is n rows high, and its last entry absorbs one
+    # product per step.  With a_ii = s_i E, a_i,n-1 = a_n-1,i = t_i E and
+    # a_n-1,n-1 = u E (signs s, t, u), the Schur complement of the diagonal
+    # block gives det = E^n (prod s_i)(u - sum s_i).
+    rng = random.Random(n)
+    s, t = (np.array([rng.choice((-1, 1)) for _ in range(n - 1)]) for _ in range(2))
+    u = rng.choice((-1, 1))
+    mat = np.diag(np.append(s, u)) * WIDEST_ENTRY
+    mat[-1, :-1] = mat[:-1, -1] = t * WIDEST_ENTRY
+    det = WIDEST_ENTRY**n * math.prod(s.tolist()) * (u - int(s.sum()))
+    top = widest_admitted_prime(n)
+    assert det_mod_prime(mat, [top]) == [det % top]
+    with pytest.raises(ValueError, match="band too wide"):
+        det_mod_prime(mat, [next_prime(top)])
+
+
 def test_layer_of_728_rows_takes_one_elimination_pass():
     g = derived_graph(fixture_spec("bouquet2_ell3"), 3).graph
     assert g.n_vertices == 729
@@ -251,8 +359,9 @@ def test_layer_of_728_rows_takes_one_elimination_pass():
 
 
 def test_primes_are_shared_out_evenly_when_strips_do_not_fit():
-    # dense upper triangular: the row-norm bound needs 93 primes, and a
-    # 90 x 90 strip leaves room for 64 per pass in 4 MB, so 47 + 46, not 64 + 29
+    # dense upper triangular: the row-norm bound needs 84 primes of 28 bits,
+    # and a 90 x 90 strip leaves room for 64 per pass in 4 MB, so 42 + 42,
+    # not 64 + 20
     rng = random.Random(11)
     n = 90
     rows = [[rng.randint(1, 2**24 - 1) if j >= i else 0 for j in range(n)] for i in range(n)]
@@ -276,11 +385,15 @@ def test_diagonally_dominant_symmetric_takes_diagonal_bound(seed):
     slack = rng.choice((0, 1, bound))
     for i in range(n):
         rows[i][i] = sum(abs(x) for x in rows[i]) + rng.randint(0, slack)
-    bits = bits_of_primes_used(rows)
+    det, passes = passes_taken(lambda: det_exact_modular(rows))
+    assert det == bareiss_det(rows)
+    primes = [p for batch in passes for p in batch]
+    bits = sum(math.log2(p) for p in primes)
     if all(rows[i][i] for i in range(n)):
-        # positive semidefinite by Gershgorin: det <= prod a_ii
+        # positive semidefinite by Gershgorin: det <= prod a_ii, and the
+        # primes stop less than one prime past that bound
         diagonal = sum(math.log2(rows[i][i]) for i in range(n))
-        assert diagonal + 8 <= bits < diagonal + 8 + 25
+        assert diagonal + 8 <= bits < diagonal + 8 + max(primes).bit_length()
 
 
 @pytest.mark.parametrize("block, copies", [
