@@ -14,11 +14,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
 from .fit import (
+    DEFAULT_BUDGET,
     RouteMismatchError,
     ValuationSequence,
     SequenceEntry,
@@ -42,9 +42,6 @@ from .voltage import (
     load_tower_spec_file,
 )
 
-DEFAULT_BUDGET = 3000
-BUDGET_ENV = "ELLTOWERS_BUDGET"
-
 
 def _int_at_least(minimum: int):
     """argparse type: an integer >= minimum, anything else a usage error."""
@@ -65,16 +62,6 @@ _nonnegative = _int_at_least(0)
 _positive = _int_at_least(1)
 
 
-def _resolve_budget(parser: argparse.ArgumentParser, args) -> None:
-    """An unset --budget falls back to the environment, then to the default."""
-    if getattr(args, "budget", DEFAULT_BUDGET) is not None:
-        return
-    try:
-        args.budget = _nonnegative(os.environ.get(BUDGET_ENV, str(DEFAULT_BUDGET)))
-    except argparse.ArgumentTypeError as err:
-        parser.error(f"{BUDGET_ENV}: {err}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="elltowers", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--budget",
                 type=_nonnegative,
-                default=None,
-                help=f"vertex budget for building layers explicitly (env {BUDGET_ENV}, default {DEFAULT_BUDGET})",
+                default=DEFAULT_BUDGET,
+                help=f"vertex budget for building layers explicitly (default {DEFAULT_BUDGET})",
             )
         if output:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -149,17 +136,22 @@ def _monomial_label(k: int, j: int) -> str:
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = load_tower_spec_file(args.spec)
     report = validate_base(spec.base)
-    conn = check_tower_connectivity(spec)
-    for reason in report.reasons + conn.reasons:
+    reasons = report.reasons
+    tower_ok = False
+    if report.connected:  # otherwise validate_base has already said so
+        conn = check_tower_connectivity(spec)
+        reasons += conn.reasons
+        tower_ok = conn.ok
+    for reason in reasons:
         print(f"FAIL: {reason}")
     if report.ok:
         print(
             f"base: connected, min valency {report.min_valency}, "
             f"euler characteristic {report.euler_characteristic}"
         )
-    if conn.ok:
+    if tower_ok:
         print(f"tower: connected at every layer (mod-{spec.ell} rank {conn.rank})")
-    return 0 if report.ok and conn.ok else 1
+    return 0 if report.ok and tower_ok else 1
 
 
 def _sequence_rows(seq: ValuationSequence):
@@ -302,9 +294,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _resolve_budget(parser, args)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (SpecFormatError, GraphInputError, OSError) as err:

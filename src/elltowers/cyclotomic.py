@@ -155,9 +155,6 @@ class CycInt:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __repr__(self):
         return f"CycInt(ell={self.ell}, level={self.level}, coeffs={self.coeffs})"
 

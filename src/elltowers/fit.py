@@ -20,6 +20,8 @@ from .linalg import solve_linear_fractions
 from .treecount import kappa_matrix_tree
 from .voltage import VoltageSpec, derived_graph
 
+DEFAULT_BUDGET = 3000  # layers up to this many vertices are also checked by the matrix-tree route
+
 
 class RouteMismatchError(RuntimeError):
     def __init__(self, message, records=None):
@@ -73,7 +75,7 @@ def valuation_sequence(
     spec: VoltageSpec,
     n_max: int,
     *,
-    matrix_tree_budget: int = 3000,
+    matrix_tree_budget: int = DEFAULT_BUDGET,
     calculator: TowerCalculator | None = None,
 ) -> ValuationSequence:
     """ord_ell(kappa_n) for n = 1..n_max.

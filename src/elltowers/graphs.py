@@ -51,9 +51,6 @@ class MultiGraph:
     def terminus(self, e: int) -> int:
         return self.edge_pairs[e >> 1][1 - (e & 1)]
 
-    def inverse(self, e: int) -> int:
-        return e ^ 1
-
     @property
     def euler_char(self) -> int:
         return self.n_vertices - self.n_undirected
@@ -222,14 +219,3 @@ def graph_from_json(doc) -> MultiGraph:
 
 def graph_to_json(g: MultiGraph) -> dict:
     return {"vertices": g.n_vertices, "edges": [[a, b] for a, b in g.edge_pairs]}
-
-
-def graph_to_dot(g: MultiGraph, name: str = "X") -> str:
-    """Undirected DOT rendering; parallel edges are repeated lines."""
-    lines = [f"graph {name} {{"]
-    for v in range(g.n_vertices):
-        lines.append(f"  v{v};")
-    for a, b in g.edge_pairs:
-        lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

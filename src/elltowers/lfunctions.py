@@ -53,7 +53,7 @@ from .cyclotomic import (  # noqa: F401  (pi_adic_ord: perfbench/tracer.py looks
 )
 from .graphs import validate_base
 from .linalg import det_in_ring
-from .series import LaurentPoly, char_poly, character_value, character_values
+from .series import LaurentPoly, char_poly, character_values
 from .treecount import TreeCount, kappa_matrix_tree, ord_prime
 from .voltage import DisconnectedCoverError, VoltageSpec, check_tower_connectivity, reduce_voltage
 
@@ -282,10 +282,6 @@ class TowerCalculator:
         if self._poly is None:
             self._poly = char_poly(self.spec)
         return self._poly
-
-    def value(self, k: int, avec) -> CycInt:
-        """h(1, psi) for the character indexed by avec at its exact level k."""
-        return character_value(self.poly, self.spec.ell, k, avec)
 
     def base_tree_count(self) -> TreeCount:
         if self._base is None:

@@ -112,7 +112,6 @@ def reduce_voltage(spec: VoltageSpec, n: int) -> tuple[tuple[int, ...], ...]:
 class ConnectivityReport:
     ok: bool
     rank: int
-    cycle_voltages: tuple[tuple[int, ...], ...]
     reasons: tuple[str, ...]
 
 
@@ -170,7 +169,7 @@ def check_tower_connectivity(spec: VoltageSpec) -> ConnectivityReport:
     """
     reasons = []
     if not spec.base.is_connected():
-        return ConnectivityReport(False, 0, (), ("base graph is not connected",))
+        return ConnectivityReport(False, 0, ("base graph is not connected",))
     tree, pot = _bfs_tree_potentials(spec)
     cycles = []
     for idx, s in enumerate(spec.section.edges):
@@ -184,7 +183,7 @@ def check_tower_connectivity(spec: VoltageSpec) -> ConnectivityReport:
     rank = _rank_mod_ell(cycles, spec.ell, spec.d)
     if rank != spec.d:
         reasons.append(f"cycle voltages do not generate mod {spec.ell} (rank {rank} < {spec.d})")
-    return ConnectivityReport(rank == spec.d, rank, tuple(cycles), tuple(reasons))
+    return ConnectivityReport(rank == spec.d, rank, tuple(reasons))
 
 
 # derived graphs ---------------------------------------------------------------
@@ -196,27 +195,9 @@ class DerivedGraph:
     level: int
     spec: VoltageSpec
     vertex_labels: tuple[tuple[int, tuple[int, ...]], ...]
-    edge_labels: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _group_elements(m: int, d: int):
-    return list(product(range(m), repeat=d))
-
-
-def _group_index(sigma, m, d):
-    idx = 0
-    for x in sigma:
-        idx = idx * m + x
-    return idx
-
-
-def derived_graph(
-    spec: VoltageSpec,
-    n: int,
-    *,
-    require_connected: bool = True,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> DerivedGraph:
+def derived_graph(spec: VoltageSpec, n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> DerivedGraph:
     """Layer n of the tower: vertices (v, sigma), one undirected edge
     from (o(s), sigma) to (t(s), sigma + alpha_n(s)) per section edge s
     and group element sigma."""
@@ -230,9 +211,8 @@ def derived_graph(
             f"layer {n} needs {g.n_vertices * size} vertices, budget is {vertex_budget}"
         )
     alpha_n = reduce_voltage(spec, n)
-    elements = _group_elements(m, spec.d)
+    elements = list(product(range(m), repeat=spec.d))
     vertex_labels = [(v, sigma) for v in range(g.n_vertices) for sigma in elements]
-    edge_labels = [(idx, sigma) for idx in range(g.n_undirected) for sigma in elements]
 
     # group indices are base-m numerals, first coordinate most significant,
     # so sigma's index is its position in ``elements``
@@ -245,47 +225,11 @@ def derived_graph(
     pairs = zip(heads.ravel().tolist(), tails.ravel().tolist())
 
     graph = build_graph(g.n_vertices * size, pairs)
-    if require_connected and not graph.is_connected():
+    if not graph.is_connected():
         raise DisconnectedCoverError(
             f"layer {n} is disconnected; the voltages do not generate the group"
         )
-    return DerivedGraph(graph, n, spec, tuple(vertex_labels), tuple(edge_labels))
-
-
-@dataclass(frozen=True)
-class GraphMorphism:
-    source: MultiGraph
-    target: MultiGraph
-    vertex_map: tuple[int, ...]
-    directed_edge_map: tuple[int, ...]
-
-
-def intermediate_projection(spec: VoltageSpec, n: int, m_level: int) -> GraphMorphism:
-    """The covering map from layer n down to layer m_level < n, i.e. the
-    reduction of group labels modulo ell^m_level."""
-    if not 0 <= m_level < n:
-        raise ValueError("need 0 <= m < n")
-    report = check_tower_connectivity(spec)
-    if not report.ok:
-        raise DisconnectedCoverError("; ".join(report.reasons))
-    top = derived_graph(spec, n)
-    bottom = derived_graph(spec, m_level)
-    m_lo = spec.ell**m_level
-    size_lo = m_lo**spec.d
-
-    vertex_map = []
-    for v, sigma in top.vertex_labels:
-        red = tuple(x % m_lo for x in sigma)
-        vertex_map.append(v * size_lo + _group_index(red, m_lo, spec.d))
-
-    edge_map = []
-    for e in range(top.graph.n_directed):
-        idx, sigma = top.edge_labels[e >> 1]
-        red = tuple(x % m_lo for x in sigma)
-        und = idx * size_lo + _group_index(red, m_lo, spec.d)
-        edge_map.append(2 * und + (e & 1))
-
-    return GraphMorphism(top.graph, bottom.graph, tuple(vertex_map), tuple(edge_map))
+    return DerivedGraph(graph, n, spec, tuple(vertex_labels))
 
 
 # i/o --------------------------------------------------------------------------

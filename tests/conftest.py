@@ -4,14 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from elltowers import (
-    MultiGraph,
+from elltowers.graphs import MultiGraph, build_graph, validate_base
+from elltowers.voltage import (
     VoltageSpec,
-    build_graph,
     check_tower_connectivity,
     default_section,
     load_tower_spec,
-    validate_base,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -11,24 +11,19 @@ from fractions import Fraction
 
 import pytest
 
-from elltowers import (
-    CharacterIndex,
-    ClassicalPoint,
-    TowerCalculator,
-    derived_graph,
-    enumerate_orbits,
-    evaluate_at_classical_point,
-    fit_window,
-    ihara_h,
-    kappa_matrix_tree,
-    l_value_at_one,
-    matrices,
-    twisted_adjacency,
-    valuation_sequence,
-    verify_fit,
-)
 from elltowers.cyclotomic import CycInt
-from elltowers.series import char_poly
+from elltowers.fit import fit_window, valuation_sequence, verify_fit
+from elltowers.graphs import ihara_h, matrices
+from elltowers.lfunctions import (
+    CharacterIndex,
+    TowerCalculator,
+    enumerate_orbits,
+    l_value_at_one,
+    twisted_adjacency,
+)
+from elltowers.series import ClassicalPoint, char_poly, evaluate_at_classical_point
+from elltowers.treecount import kappa_matrix_tree
+from elltowers.voltage import derived_graph
 
 from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec, random_validated_graph
 

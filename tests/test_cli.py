@@ -1,23 +1,19 @@
 import json
-import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from conftest import FIXTURES
+from test_acceptance import TABLES
 
 E1 = str(FIXTURES / "bouquet2_ell2.json")
 E4 = str(FIXTURES / "bouquet2_ell3.json")
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "elltowers.cli", *args],
-        capture_output=True,
-        text=True,
-        env=None if env is None else {**os.environ, **env},
-    )
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "elltowers.cli", *args], capture_output=True, text=True)
 
 
 def test_validate_good_spec():
@@ -39,6 +35,16 @@ def test_validate_non_generating_voltages(tmp_path):
     result = run_cli("validate", "--spec", str(path))
     assert result.returncode == 1
     assert "do not generate mod 2" in result.stdout
+
+
+def test_validate_reports_disconnected_base_once(tmp_path):
+    doc = {"graph": {"vertices": 2, "edges": [[0, 0], [1, 1]]}, "ell": 2, "d": 1, "alpha": [[1], [1]]}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("validate", "--spec", str(path))
+    assert result.returncode == 1
+    fails = [line for line in result.stdout.splitlines() if line.startswith("FAIL:")]
+    assert [line for line in fails if "connected" in line] == ["FAIL: graph is not connected"]
 
 
 def test_malformed_json_exits_two(tmp_path):
@@ -197,10 +203,18 @@ def test_reproduce_tables_rejects_bad_range(args):
     assert result.stdout == ""
 
 
-def test_budget_env():
-    result = run_cli("table", "--spec", E1, "--n-max", "2", env={"ELLTOWERS_BUDGET": "10"})
-    assert result.returncode == 0
-    assert result.stdout.splitlines()[1:] == ["1,5,both-agree", "2,19,l-function"]
-    result = run_cli("table", "--spec", E1, "--n-max", "1", env={"ELLTOWERS_BUDGET": "abc"})
-    assert result.returncode == 2
-    assert "error: ELLTOWERS_BUDGET" in result.stderr
+def test_reproduce_tables_success():
+    script = FIXTURES.parent / "scripts" / "reproduce_tables.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--n-max", "3", "--budget", "100"], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    got = {}
+    for line in result.stdout.splitlines():
+        if line.startswith("== "):
+            name = line.split()[1]
+            got[name] = []
+        elif match := re.search(r"ord=\s*(\d+)", line):
+            got[name].append(int(match.group(1)))
+    assert got == {name: table[:3] for name, table in TABLES.items()}
+    assert re.fullmatch(r"grand total \d+\.\d\ds", result.stdout.splitlines()[-1])

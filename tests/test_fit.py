@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from elltowers import (
+from elltowers.fit import (
     SequenceEntry,
     ValuationSequence,
     fit_window,

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elltowers import (
+from elltowers import linalg
+from elltowers.graphs import build_graph
+from elltowers.lfunctions import TowerCalculator
+from elltowers.linalg import bareiss_det, det_exact_modular, det_mod_prime
+from elltowers.treecount import (
+    BAREISS_LIMIT,
     DisconnectedGraphError,
-    build_graph,
-    derived_graph,
     kappa_by_enumeration,
     kappa_matrix_tree,
     ord_prime,
+    reduced_laplacian,
 )
-from elltowers import linalg
-from elltowers.linalg import bareiss_det, det_exact_modular, det_mod_prime
-from elltowers.treecount import BAREISS_LIMIT, reduced_laplacian
+from elltowers.voltage import derived_graph
 
 from conftest import fixture_spec, random_connected_spec, random_validated_graph
 
@@ -75,7 +77,9 @@ def test_reduced_laplacian_is_an_int64_array():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_matrix_tree_on_derived_layers_agrees_with_bareiss(seed):
     # layers of up to 300 vertices whose reduced Laplacian is past the
-    # Bareiss limit, so kappa_matrix_tree takes the modular path
+    # Bareiss limit, so kappa_matrix_tree takes the modular path.  The
+    # oracle is pure-Python Bareiss (cubic) up to 130 rows and the
+    # independent L-function route on larger layers.
     rng = random.Random(seed)
     while True:
         spec = random_connected_spec(rng, max_vertices=4, d=rng.choice((1, 2)))
@@ -83,8 +87,12 @@ def test_matrix_tree_on_derived_layers_agrees_with_bareiss(seed):
         levels = [n for n, v in sizes.items() if BAREISS_LIMIT + 1 < v <= 300]
         if levels:
             break
-    g = derived_graph(spec, rng.choice(levels)).graph
-    exact = bareiss_det(reduced_laplacian(g))
+    n = rng.choice(levels)
+    g = derived_graph(spec, n).graph
+    if g.n_vertices - 1 <= 130:
+        exact = bareiss_det(reduced_laplacian(g))
+    else:
+        exact = TowerCalculator(spec).kappa_exact(n)
     assert kappa_matrix_tree(g).kappa == exact
     assert kappa_matrix_tree(g, drop=rng.randrange(1, g.n_vertices)).kappa == exact
 
