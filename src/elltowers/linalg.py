@@ -4,15 +4,18 @@ Everything returned from this module is exact.  Floating point shows up only
 inside the determinant bound for the modular determinant, where it is
 padded conservatively before being used to pick how many primes to take.
 
-The modular determinant orders the matrix by reverse Cuthill-McKee of the
-pattern of A + A^T, then eliminates modulo a whole batch of primes at once
-inside the envelope of that pattern (George and Liu 1981, ch. 4): step k
-searches its pivot in rows k..R_k and updates rows k+1..R_k, where R_k is
-read from the pattern alone.  With w = max(R_k - k), a narrow band has
-w + 1 rows per step whatever n is; dense elimination is the case
-w = n - 1.  Only a strip of the matrix, 2w + 1 rows high, is held per
-prime; all primes go in one pass when their strips fit in the memory of
-three dense n x n int64 copies (at least 4 MB).  The lazy-reduction guard
+The modular determinant reads its input once into compressed sparse rows
+(CSR) and builds no other n x n array.  It orders the matrix by reverse
+Cuthill-McKee of the pattern of A + A^T, then eliminates modulo a whole
+batch of primes at once inside the envelope of that pattern (George and
+Liu 1981, ch. 4): step k searches its pivot in rows k..R_k and updates
+rows k+1..R_k, where R_k is read from the pattern alone.  With
+w = max(R_k - k), a narrow band has w + 1 rows per step whatever n is;
+dense elimination is the case w = n - 1.  Only a strip of the matrix,
+2w + 1 rows high, is held per prime, refilled from the CSR copy; all
+primes go in one pass when their strips fit in a fixed 32 MB, so memory
+is O(nonzeros) plus 32 MB, or one prime's strip where that is larger,
+whatever n is.  The lazy-reduction guard
 bounds the products one entry absorbs between reductions by w + 1, so the
 size limit is on the band, not on n, and the primes are as wide as the
 band allows: 2^28 to 2^29 on the bands of tower layers, never below 2^25.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,7 +159,44 @@ def solve_linear_fractions(matrix, rhs):
 
 
 _MOD_PRIME_BITS = 25  # entries are below 2^25, and so are the narrowest CRT primes
-_BATCH_BYTES = 4 << 20  # least strip memory of one det_mod_prime pass from det_exact_modular
+_PASS_BYTES = 32 << 20  # strip memory of one det_mod_prime pass from det_exact_modular
+
+
+class _Csr(NamedTuple):
+    """Compressed sparse rows of a square integer matrix: the nonzeros of row
+    i are vals[ptr[i]:ptr[i + 1]], in the increasing columns
+    cols[ptr[i]:ptr[i + 1]]."""
+
+    ptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
+
+
+def _pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    """Row pointers of the entries of an n-row matrix listed row by row."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _csr(mat) -> _Csr:
+    """The CSR copy of a square integer matrix, read with no n x n temporary."""
+    mat = np.asarray(mat)
+    rows, cols = np.nonzero(mat)  # row by row, columns increasing
+    return _Csr(_pointers(rows, len(mat)), cols, mat[rows, cols].astype(np.int64))
+
+
+def _permuted(mat: _Csr, order) -> _Csr:
+    """The CSR of the matrix whose row and column i are row and column
+    order[i] of ``mat``."""
+    n = len(order)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    rows, cols = pos[mat.rows()], pos[mat.cols]
+    at = np.lexsort((cols, rows))
+    return _Csr(_pointers(rows, n), cols[at], mat.vals[at])
 
 
 def _prime_ceiling(height: int) -> int:
@@ -165,24 +206,27 @@ def _prime_ceiling(height: int) -> int:
     return math.isqrt(((1 << 62) - (1 << _MOD_PRIME_BITS) - 1) // height) + 1
 
 
-def _envelope(mat: np.ndarray):
+def _envelope(mat: _Csr):
     """Elimination bounds of a square matrix, read from its nonzero pattern.
 
-    rows_to[k] is the cumulative maximum of the rows whose first nonzero is
-    at or before column k, so no row below it is nonzero in column k at
-    step k.  cols_to[k] is the cumulative maximum of the last nonzeros of
-    the rows up to rows_to[k], so no row the step touches reaches past it.
-    Row swaps stay inside k..rows_to[k] and an update only merges row
-    extents, so both bounds hold under any pivoting; a band of width w has
-    rows_to[k] <= k + w and cols_to[k] <= k + 2w.  Also returns the window
-    height w + 1 = max(rows_to[k] - k) + 1, which is the number of steps per
-    strip, and the (rows, columns) shape of the strip.
+    rows_to[k] is the largest of k and the rows whose first nonzero is at
+    or before column k, so no row below it is nonzero in column k at step
+    k.  cols_to[k] is the largest of k and the last nonzeros of the rows up
+    to rows_to[k], so no row the step touches reaches past it.  Row swaps
+    stay inside k..rows_to[k] and an update only merges row extents, so
+    both bounds hold under any pivoting; a band of width w has rows_to[k]
+    <= k + w and cols_to[k] <= k + 2w.  Also returns the window height
+    w + 1 = max(rows_to[k] - k) + 1, which is the number of steps per
+    strip, and the (rows, columns) shape of the strip, min(2w + 1, n) by
+    min(w + max(cols_to[k] - k) + 1, n).  A zero row counts as starting at
+    column n and ending at column -1.
     """
-    n = mat.shape[0]
-    nz = mat != 0
-    full = nz.any(axis=1)
-    first = np.where(full, nz.argmax(axis=1), n)
-    last = np.where(full, n - 1 - nz[:, ::-1].argmax(axis=1), -1)
+    n = len(mat.ptr) - 1
+    full = mat.ptr[1:] > mat.ptr[:-1]
+    first = np.full(n, n)
+    last = np.full(n, -1)
+    first[full] = mat.cols[mat.ptr[:-1][full]]
+    last[full] = mat.cols[mat.ptr[1:][full] - 1]
     steps = np.arange(n)
     lowest = np.full(n + 1, -1)
     np.maximum.at(lowest, first, steps)
@@ -193,23 +237,25 @@ def _envelope(mat: np.ndarray):
     return rows_to, cols_to, height, (min(2 * height - 1, n), min(height + width - 1, n))
 
 
-def det_mod_prime(mat: np.ndarray, primes) -> list[int]:
+def det_mod_prime(mat, primes) -> list[int]:
     """Determinants of an integer matrix modulo each of a sequence of primes.
 
-    One Gaussian elimination over F_p for all the primes at once.  An int64
-    array of shape (strip rows, strip columns, primes) holds only the active
-    strip, with the primes innermost so that every row update is one long
-    contiguous run.  Step k searches its pivot in rows k..R_k and updates
-    rows k+1..R_k, with R_k and the column bound C_k from ``_envelope``;
-    the update stops at the last column where the pivot row is nonzero
-    modulo some prime of the batch, which without row swaps is about k + w
-    rather than C_k <= k + 2w.  A window of w + 1 rows slides down the strip
-    as a view, and every w + 1 steps the strip is refilled: the rows
-    elimination has touched move up, reduced modulo p, and the rest are
-    copied raw from ``mat``, the same entries for every prime.  Nothing is
-    copied per step.  Per prime, Python computes only the pivot inverse; a
-    prime whose pivot column vanishes gets residue 0 and stays in the batch
-    with zero row factors.
+    ``mat`` is the CSR copy det_exact_modular makes, or a dense array, which
+    is converted the same way.  One Gaussian elimination over F_p for all
+    the primes at once.  An int64 array of shape (strip rows, strip
+    columns, primes) holds only the active strip, with the primes innermost
+    so that every row update is one long contiguous run.  Step k searches
+    its pivot in rows k..R_k and updates rows k+1..R_k, with R_k and the
+    column bound C_k from ``_envelope``; the update stops at the last
+    column where the pivot row is nonzero modulo some prime of the batch,
+    which without row swaps is about k + w rather than C_k <= k + 2w.  A
+    window of w + 1 rows slides down the strip as a view, and every w + 1
+    steps the strip is refilled: the rows elimination has touched move up,
+    reduced modulo p, and the rows the next w + 1 steps touch first are
+    zeroed and given their CSR entries raw, the same for every prime.
+    Nothing is copied per step.  Per prime, Python computes only the pivot
+    inverse; a prime whose pivot column vanishes gets residue 0 and stays
+    in the batch with zero row factors.
 
     Reduction is lazy: each step reduces only the pivot column and the
     pivot row, so between refills an entry starts below 2^25 in absolute
@@ -219,8 +265,10 @@ def det_mod_prime(mat: np.ndarray, primes) -> list[int]:
     p up to 2^28 at w + 1 = 64; the matrix size n does not enter.
     """
     primes = [int(p) for p in primes]
-    n = mat.shape[0]
-    if n and max(-int(mat.min()), int(mat.max())) >= 1 << _MOD_PRIME_BITS:
+    if isinstance(mat, np.ndarray):
+        mat = _csr(mat)
+    n = len(mat.ptr) - 1
+    if np.abs(mat.vals).max(initial=0) >= 1 << _MOD_PRIME_BITS:
         raise ValueError("entries too large for the modular path")
     rows_to, cols_to, height, shape = _envelope(mat)
     top = max(primes)
@@ -231,15 +279,21 @@ def det_mod_prime(mat: np.ndarray, primes) -> list[int]:
     each = np.arange(len(primes))
     strip = np.empty(shape + (len(primes),), dtype=np.int64)
     det = np.ones(len(primes), dtype=np.int64)
+    rows = mat.rows()
     for s in range(0, n, height):
         kept = max(int(rows_to[s - 1]) - s + 1, 0) if s else 0
-        nr, nc = min(shape[0], n - s), min(shape[1], n - s)
+        # no step of this strip reads a row past rows_to of its last step,
+        # and those rows end by column s + nc
+        nr, nc = int(rows_to[min(s + height, n) - 1]) - s + 1, min(shape[1], n - s)
         if kept:
             # touched rows reach no further than cols_to[s - 1], inside the old strip
             m = min(shape[1] - height, nc)
             np.remainder(strip[height:height + kept, height:height + m], ps, out=strip[:kept, :m])
             strip[:kept, m:nc] = 0
-        strip[kept:nr, :nc] = mat[s + kept:s + nr, s:s + nc, None]
+        strip[kept:nr, :nc] = 0
+        # rows past rows_to[s - 1] have no nonzero left of column s
+        fresh = slice(mat.ptr[s + kept], mat.ptr[s + nr])
+        strip[rows[fresh] - s, mat.cols[fresh] - s] = mat.vals[fresh, None]
         for k in range(s, min(s + height, n)):
             j = k - s
             low, right = int(rows_to[k]) - s + 1, int(cols_to[k]) - s + 1
@@ -262,22 +316,22 @@ def det_mod_prime(mat: np.ndarray, primes) -> list[int]:
     return (det % ps).tolist()
 
 
-def _rcm_order(pattern: np.ndarray) -> list[int]:
-    """Reverse Cuthill-McKee order of a symmetric boolean pattern.
+def _rcm_order(adjacency: _Csr) -> list[int]:
+    """Reverse Cuthill-McKee order of a symmetric pattern, given as CSR.
 
     Breadth-first search from a least-degree vertex of each component,
     taking neighbours by increasing degree, then reversed (Cuthill and
     McKee 1969; George and Liu 1981).  A degree is the number of nonzeros
     in a row, the diagonal included; ties go to the lower index, and the
     components come in the order of their starting vertices.  It reads the
-    pattern only.
+    pattern only: ``adjacency.ptr`` and ``adjacency.cols``.
     """
-    rows, cols = np.nonzero(pattern)
-    degree = np.bincount(rows, minlength=len(pattern))
+    degree = np.diff(adjacency.ptr)
+    rows, cols = adjacency.rows(), adjacency.cols
     # every row's neighbours, already in the order the search takes them
     nbrs = cols[np.lexsort((cols, degree[cols], rows))].tolist()
-    cuts = np.concatenate(([0], np.cumsum(degree))).tolist()
-    seen = [False] * len(pattern)
+    cuts = adjacency.ptr.tolist()
+    seen = [False] * len(degree)
     order = []
     head = 0
     for start in np.argsort(degree, kind="stable").tolist():
@@ -295,51 +349,63 @@ def _rcm_order(pattern: np.ndarray) -> list[int]:
     return order[::-1]
 
 
-def det_exact_modular(rows) -> int:
-    """Exact determinant of an integer matrix by CRT over band-sized primes.
+def _log2_det_bound(mat: _Csr) -> float:
+    """log2 of a bound on |det| of a matrix with no zero row.
 
-    ``rows`` is an int64 array or any iterable of integer rows, with
-    entries below 2^25 in absolute value.  The matrix is first permuted
-    symmetrically by the reverse Cuthill-McKee order of its pattern, which
-    narrows the envelope det_mod_prime eliminates in and leaves the
-    determinant alone.  The pattern goes once the order is known, and the
-    input once it is permuted, unless the caller still holds it: the
-    permuted int32 copy is the one n x n array kept through elimination.
-    The number of primes is chosen so their product exceeds
-    twice a bound on |det|, which makes the centered CRT lift exact; this
-    is a deterministic computation, not a probabilistic one.  The bound is
     Hadamard's, the product of the row norms, unless the matrix is
     symmetric and weakly diagonally dominant with a nonnegative diagonal:
     then it is positive semidefinite by Gershgorin, and det <= prod a_ii
-    (Hadamard-Fischer) needs fewer primes.  The primes are the largest
-    that det_mod_prime's guard admits for the envelope height w + 1, and no
-    narrower than 2^25, so a wide band is refused there rather than run on
-    small primes.  The prime list is built first and goes to det_mod_prime
-    in one pass when the strips of all primes fit in max(3 n^2 int64,
-    4 MB), three dense copies of the matrix; otherwise in the fewest passes
-    that fit, with pass sizes differing by at most one.
+    (Hadamard-Fischer).
     """
-    mat = np.asarray(rows, dtype=np.int64)
-    del rows  # so that rebinding mat below frees an array argument
-    n = len(mat)
+    rows, cols, vals = mat.rows(), mat.cols, mat.vals
+    starts = mat.ptr[:-1]  # every row is nonempty, as reduceat needs
+    at = np.lexsort((rows, cols))  # the entries of the transpose, row by row
+    symmetric = (cols[at] == rows).all() and (rows[at] == cols).all() and (vals[at] == vals).all()
+    diag = np.zeros(len(starts), dtype=np.int64)
+    on = rows == cols
+    diag[rows[on]] = vals[on]
+    # 2 a_ii >= sum_j |a_ij| says a_ii >= 0 and a_ii >= sum_{j != i} |a_ij|
+    if symmetric and (2 * diag >= np.add.reduceat(np.abs(vals), starts)).all():
+        return float(np.log2(diag).sum())
+    squares = vals.astype(np.float64) ** 2
+    return 0.5 * float(np.log2(np.add.reduceat(squares, starts)).sum())
+
+
+def det_exact_modular(rows) -> int:
+    """Exact determinant of an integer matrix by CRT over band-sized primes.
+
+    ``rows`` is an int64 array or any sequence of integer rows, with
+    entries below 2^25 in absolute value.  It is read once into a CSR copy,
+    row pointers, column indices and int64 values, and no other n x n array
+    is built: memory is O(nonzeros + the pass budget) beside the caller's
+    input, which goes once it is read unless the caller still holds it.
+    The matrix is permuted symmetrically by the reverse Cuthill-McKee order
+    of the pattern of A + A^T, which narrows the envelope det_mod_prime
+    eliminates in and leaves the determinant alone.  The number of primes
+    is chosen so their product exceeds twice a bound on |det| (see
+    ``_log2_det_bound``), which makes the centered CRT lift exact; this is
+    a deterministic computation, not a probabilistic one.  The primes are
+    the largest that det_mod_prime's guard admits for the envelope height
+    w + 1, and no narrower than 2^25, so a wide band is refused there
+    rather than run on small primes.  The prime list is built first and
+    goes to det_mod_prime in one pass when the strips of all primes fit in
+    a fixed budget of 32 MB; otherwise in the fewest passes that fit, with
+    pass sizes differing by at most one.
+    """
+    n = len(rows)
     if n == 0:
         return 1
-    if np.any(np.abs(mat) >= 1 << _MOD_PRIME_BITS):
+    mat = _csr(rows)
+    del rows  # so that the caller's dense array can go now
+    if np.abs(mat.vals).max(initial=0) >= 1 << _MOD_PRIME_BITS:
         raise ValueError("entries too large for the modular path")
-    pattern = mat != 0
-    order = _rcm_order(pattern | pattern.T)
-    del pattern
-    mat = mat.astype(np.int32)[np.ix_(order, order)]
-    norms = np.einsum("ij,ij->i", mat, mat, dtype=np.float64)  # no n x n temporary
-    if not norms.all():
-        return 0
-    diag = mat.diagonal()
-    # 2 a_ii >= sum_j |a_ij| says a_ii >= 0 and a_ii >= sum_{j != i} |a_ij|
-    if (mat == mat.T).all() and (2 * diag >= np.abs(mat).sum(axis=1)).all():
-        bits = float(np.log2(diag).sum())
-    else:
-        bits = 0.5 * float(np.log2(norms).sum())
-    target = bits + 8.0  # float slop + the factor of 2 for the signed lift
+    if not np.diff(mat.ptr).all():
+        return 0  # a zero row
+    target = _log2_det_bound(mat) + 8.0  # float slop + the factor of 2 for the signed lift
+    i, j = mat.rows(), mat.cols
+    ends = np.sort(np.concatenate((i * n + j, j * n + i)))  # the pattern of A + A^T
+    i, j = np.divmod(ends[np.diff(ends, prepend=-1) != 0], n)
+    mat = _permuted(mat, _rcm_order(_Csr(_pointers(i, n), j, np.ones_like(j))))
 
     _, _, height, shape = _envelope(mat)
     primes = []
@@ -352,7 +418,7 @@ def det_exact_modular(rows) -> int:
         primes.append(c)
         got += math.log2(c)
         c -= 2
-    fits = max(1, max(24 * n * n, _BATCH_BYTES) // (8 * shape[0] * shape[1]))
+    fits = max(1, _PASS_BYTES // (8 * shape[0] * shape[1]))
     passes = -(-len(primes) // fits)
     cuts = [i * len(primes) // passes for i in range(passes + 1)]
     residues = []

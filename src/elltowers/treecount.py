@@ -8,12 +8,13 @@ pairs.  Up to BAREISS_LIMIT rows it goes through fraction-free Bareiss
 elimination, which is the faster route below about 32 rows.  Larger ones
 are ordered by reverse Cuthill-McKee, which reads only the nonzero pattern
 and turns a layer's few nonzeros per row into a narrow band, and then go
-through the CRT-modular determinant, which eliminates its primes
-together inside that envelope, in one pass while their strips fit in
-three dense copies of the matrix, with primes as wide as the band allows
-(2^28 to 2^29 on a layer's band): equally exact (a reduced Laplacian is
-symmetric and diagonally dominant, so the product of its diagonal bounds
-the prime count) and vastly faster at a thousand vertices.
+through the CRT-modular determinant, which reads the array once into
+compressed sparse rows and eliminates its primes together inside that
+envelope, in one pass while their strips fit in 32 MB (memory is
+O(nonzeros + 32 MB) beside this dense array), with primes as wide as the
+band allows (2^28 to 2^29 on a layer's band): equally exact (a reduced
+Laplacian is symmetric and diagonally dominant, so the product of its
+diagonal bounds the prime count) and vastly faster at a thousand vertices.
 """
 
 from __future__ import annotations

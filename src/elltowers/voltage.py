@@ -193,7 +193,6 @@ def check_tower_connectivity(spec: VoltageSpec) -> ConnectivityReport:
 class DerivedGraph:
     graph: MultiGraph
     level: int
-    spec: VoltageSpec
     vertex_labels: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -229,7 +228,7 @@ def derived_graph(spec: VoltageSpec, n: int, *, vertex_budget: int = DEFAULT_VER
         raise DisconnectedCoverError(
             f"layer {n} is disconnected; the voltages do not generate the group"
         )
-    return DerivedGraph(graph, n, spec, tuple(vertex_labels))
+    return DerivedGraph(graph, n, tuple(vertex_labels))
 
 
 # i/o --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -223,6 +224,23 @@ def test_band_not_size_limits_elimination():
     assert det_mod_prime(mat, PRIMES) == [(n + 1) % p for p in PRIMES]
 
 
+def test_modular_determinant_builds_no_n_squared_temporary():
+    # a 32 MB input: one n x n temporary, even a bool one, would show
+    n = 2048
+    mat = np.zeros((n, n), dtype=np.int64)
+    i = np.arange(n)
+    mat[i, i] = 2
+    mat[i[1:], i[:-1]] = -1
+    mat[i[:-1], i[1:]] = -1
+    tracemalloc.start()
+    try:
+        assert det_exact_modular(mat) == n + 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
 def test_band_too_wide_is_refused():
     mat = np.eye(4097, dtype=np.int8)
     mat[0, 4096] = mat[4096, 0] = 1
@@ -295,7 +313,31 @@ def test_rcm_order_follows_its_rule(seed):
         for j in range(i):
             if group[i] == group[j] and rng.random() < density:
                 pattern[i, j] = pattern[j, i] = True
-    assert linalg._rcm_order(pattern) == rcm_reference(pattern.tolist())
+    assert linalg._rcm_order(linalg._csr(pattern)) == rcm_reference(pattern.tolist())
+
+
+def envelope_reference(rows):
+    """_envelope as its docstring states it, in plain Python."""
+    n = len(rows)
+    first = [min([j for j in range(n) if rows[i][j]], default=n) for i in range(n)]
+    last = [max([j for j in range(n) if rows[i][j]], default=-1) for i in range(n)]
+    rows_to = [max([k] + [i for i in range(n) if first[i] <= k]) for k in range(n)]
+    cols_to = [max([k] + last[:rows_to[k] + 1]) for k in range(n)]
+    height = max(r - k for k, r in enumerate(rows_to)) + 1
+    width = max(c - k for k, c in enumerate(cols_to)) + 1
+    return rows_to, cols_to, height, (min(2 * height - 1, n), min(height + width - 1, n))
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "non-symmetric", "singular", "zero-diagonal"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_envelope_follows_its_rule(kind, seed):
+    rng = random.Random(seed)
+    rows = banded_case(rng, rng.randint(1, 40), kind)
+    perm = rng.sample(range(len(rows)), len(rows))
+    for case in (rows, [[rows[i][j] for j in perm] for i in perm]):
+        rows_to, cols_to, height, shape = linalg._envelope(linalg._csr(case))
+        assert (rows_to.tolist(), cols_to.tolist(), height, shape) == envelope_reference(case)
 
 
 def guard_admits(height, p):
@@ -373,7 +415,8 @@ def test_primes_are_shared_out_evenly_when_strips_do_not_fit():
     rng = random.Random(11)
     n = 90
     rows = [[rng.randint(1, 2**24 - 1) if j >= i else 0 for j in range(n)] for i in range(n)]
-    det, passes = passes_taken(lambda: det_exact_modular(rows))
+    with mock.patch.object(linalg, "_PASS_BYTES", 4 << 20):
+        det, passes = passes_taken(lambda: det_exact_modular(rows))
     assert det == math.prod(rows[i][i] for i in range(n))
     sizes = [len(primes) for primes in passes]
     assert len(sizes) > 1 and max(sizes) - min(sizes) <= 1
