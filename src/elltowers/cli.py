@@ -18,7 +18,6 @@ import sys
 import time
 
 from .fit import (
-    DEFAULT_BUDGET,
     RouteMismatchError,
     ValuationSequence,
     SequenceEntry,
@@ -33,6 +32,7 @@ from .graphs import GraphInputError, validate_base
 from .lfunctions import TowerCalculator, orbit_records
 from .series import q_series
 from .voltage import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DisconnectedCoverError,
     SpecFormatError,

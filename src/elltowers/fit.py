@@ -18,9 +18,7 @@ from fractions import Fraction
 from .lfunctions import TowerCalculator, orbit_records
 from .linalg import solve_linear_fractions
 from .treecount import kappa_matrix_tree
-from .voltage import VoltageSpec, derived_graph
-
-DEFAULT_BUDGET = 3000  # layers up to this many vertices are also checked by the matrix-tree route
+from .voltage import DEFAULT_BUDGET, VoltageSpec, derived_graph
 
 
 class RouteMismatchError(RuntimeError):
@@ -58,7 +56,7 @@ def sequence_entry(calc: TowerCalculator, n: int, matrix_tree_budget: int) -> Se
     route = "l-function"
     layer_vertices = spec.base.n_vertices * spec.ell ** (spec.d * n)
     if layer_vertices <= matrix_tree_budget:
-        layer = derived_graph(spec, n, vertex_budget=max(matrix_tree_budget, 1))
+        layer = derived_graph(spec, n, vertex_budget=matrix_tree_budget)
         mt = kappa_matrix_tree(layer.graph, spec.ell)
         lf = calc.kappa_exact(n)
         if mt.kappa != lf or mt.ord_ell != order:

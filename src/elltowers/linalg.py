@@ -182,10 +182,16 @@ def _pointers(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _csr(mat) -> _Csr:
-    """The CSR copy of a square integer matrix, read with no n x n temporary."""
+    """The CSR copy of a square integer matrix, read with no n x n temporary.
+
+    Refuses entries of 2^25 or more in absolute value, checked on the raw
+    entries before the int64 cast, so no uint64 or Python integer wraps."""
     mat = np.asarray(mat)
     rows, cols = np.nonzero(mat)  # row by row, columns increasing
-    return _Csr(_pointers(rows, len(mat)), cols, mat[rows, cols].astype(np.int64))
+    vals = mat[rows, cols]
+    if ((vals >= 1 << _MOD_PRIME_BITS) | (vals <= -(1 << _MOD_PRIME_BITS))).any():
+        raise ValueError("entries too large for the modular path")
+    return _Csr(_pointers(rows, len(mat)), cols, vals.astype(np.int64))
 
 
 def _permuted(mat: _Csr, order) -> _Csr:
@@ -268,8 +274,6 @@ def det_mod_prime(mat, primes) -> list[int]:
     if isinstance(mat, np.ndarray):
         mat = _csr(mat)
     n = len(mat.ptr) - 1
-    if np.abs(mat.vals).max(initial=0) >= 1 << _MOD_PRIME_BITS:
-        raise ValueError("entries too large for the modular path")
     rows_to, cols_to, height, shape = _envelope(mat)
     top = max(primes)
     if top > _prime_ceiling(height):
@@ -397,8 +401,6 @@ def det_exact_modular(rows) -> int:
         return 1
     mat = _csr(rows)
     del rows  # so that the caller's dense array can go now
-    if np.abs(mat.vals).max(initial=0) >= 1 << _MOD_PRIME_BITS:
-        raise ValueError("entries too large for the modular path")
     if not np.diff(mat.ptr).all():
         return 0  # a zero row
     target = _log2_det_bound(mat) + 8.0  # float slop + the factor of 2 for the signed lift

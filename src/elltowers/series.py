@@ -9,10 +9,9 @@ value the package needs is a specialization of P:
 * the character of exact order ell^k indexed by a sends x_i to zeta^(a_i),
   which gives the twisted special value det(D - A_psi) in Z[zeta_(ell^k)]
   (character_values: one integer row per character, a whole batch of
-  characters per call);
-* the classical point (1 - zeta^(a_1), ..., 1 - zeta^(a_d)) of the unit
-  polydisk is the same substitution written in T_i = 1 - x_i
-  (evaluate_at_classical_point);
+  characters per call); the classical point (1 - zeta^(a_1), ...,
+  1 - zeta^(a_d)) of the unit polydisk is the same substitution written
+  in T_i = 1 - x_i, so these rows are Q's exact values there too;
 * x_i = 1 - T_i gives the determinant series Q(T) = det(D - A_rho) with
   rho(a) = prod_i (1 - T_i)^(a_i); after P is multiplied by the monomial
   x^m that clears its negative powers, the same substitution gives the
@@ -21,12 +20,11 @@ value the package needs is a specialization of P:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .cyclotomic import CycInt, phi_ell_power
+from .cyclotomic import phi_ell_power
 from .linalg import det_in_ring
 from .treecount import ord_prime
 from .voltage import VoltageSpec
@@ -98,11 +96,17 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs) -> np.ndarr
     whatever the voltages.  Every entry is bounded by the sum of |c| over
     P's terms: below 2^62 the rows are int64,
     otherwise Python integers (dtype=object), through the same code.
+    An index vector with other than d entries, for P in d variables, is
+    refused with a ValueError.
     """
     m = ell**level
     phi = phi_ell_power(ell, level)
     dtype = np.int64 if sum(map(abs, poly.terms.values())) < 2**62 else object
-    a = (np.asarray(avecs, dtype=object) % m).astype(np.int64)
+    d = len(next(iter(poly.terms), ()))  # the tower rank; the zero P has no terms to tell it
+    a = np.asarray(avecs, dtype=object)
+    if a.ndim != 2 or (poly and a.shape[1] != d):
+        raise ValueError(f"index vectors must have {d} entries, the tower rank")
+    a = (a % m).astype(np.int64)
     exps = (np.array(list(poly.terms), dtype=object).reshape(-1, a.shape[1]) % m).astype(np.int64)
     targets = a @ exps.T % m
     work = np.zeros((len(a), m), dtype=dtype)
@@ -112,11 +116,6 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs) -> np.ndarr
     for j in range(ell - 1):
         work[:, j * s : (j + 1) * s] -= work[:, phi:]
     return work[:, :phi]
-
-
-def character_value(poly: LaurentPoly, ell: int, level: int, avec) -> CycInt:
-    """P at the single character indexed by avec: one row of character_values."""
-    return CycInt(ell, level, character_values(poly, ell, level, [avec])[0].tolist())
 
 
 # the determinant series Q(T) ----------------------------------------------------
@@ -148,28 +147,6 @@ def q_series(spec: VoltageSpec) -> tuple[tuple[int, ...], LaurentPoly]:
         for key, v in partial.items():
             coeffs[key] = coeffs.get(key, 0) + v
     return m, LaurentPoly(coeffs)
-
-
-# exact evaluation at classical points ------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassicalPoint:
-    """The point (1 - zeta^(a_1), ..., 1 - zeta^(a_d)) of the open unit
-    polydisk, kept symbolic: substituting it into 1 - T_i gives zeta^(a_i)."""
-
-    ell: int
-    level: int
-    exponents: tuple[int, ...]
-
-
-def evaluate_at_classical_point(poly: LaurentPoly, point: ClassicalPoint) -> CycInt:
-    """Exact value of Q at a classical point, i.e. P at x_i = zeta^(a_i),
-    for the tower whose P = char_poly(spec) is given.  This equals the
-    twisted special value on the nose."""
-    if any(len(e) != len(point.exponents) for e in poly.terms):
-        raise ValueError("point arity does not match the tower rank")
-    return character_value(poly, point.ell, point.level, point.exponents)
 
 
 # one-variable Weierstrass data --------------------------------------------------

@@ -4,17 +4,17 @@ Delete a row and the matching column of the Laplacian D - A and take the
 determinant: that is the number of spanning trees, and 0 exactly when the
 graph is disconnected.  Loops cancel between D and A and contribute
 nothing.  The reduced Laplacian is an int64 array built from the edge
-pairs.  Up to BAREISS_LIMIT rows it goes through fraction-free Bareiss
-elimination, which is the faster route below about 32 rows.  Larger ones
-are ordered by reverse Cuthill-McKee, which reads only the nonzero pattern
-and turns a layer's few nonzeros per row into a narrow band, and then go
-through the CRT-modular determinant, which reads the array once into
-compressed sparse rows and eliminates its primes together inside that
-envelope, in one pass while their strips fit in 32 MB (memory is
-O(nonzeros + 32 MB) beside this dense array), with primes as wide as the
-band allows (2^28 to 2^29 on a layer's band): equally exact (a reduced
-Laplacian is symmetric and diagonally dominant, so the product of its
-diagonal bounds the prime count) and vastly faster at a thousand vertices.
+pairs.  Every one goes through the CRT-modular determinant, which reads
+the array once into compressed sparse rows, orders it by reverse
+Cuthill-McKee (which reads only the nonzero pattern and turns a layer's
+few nonzeros per row into a narrow band) and eliminates its primes
+together inside that envelope, in one pass while their strips fit in
+32 MB (memory is O(nonzeros + 32 MB) beside this dense array), with
+primes as wide as the band allows (2^28 to 2^29 on a layer's band).  It
+is exact: a reduced Laplacian is symmetric and diagonally dominant, so
+the product of its diagonal bounds the prime count.  Fraction-free
+Bareiss elimination stays in ``linalg`` as the oracle it is checked
+against, off this path.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import MultiGraph
-from .linalg import bareiss_det, det_exact_modular
-
-BAREISS_LIMIT = 32
+from .linalg import bareiss_det, det_exact_modular  # noqa: F401  (bareiss_det: perfbench/tracer.py looks it up here)
 
 
 class DisconnectedGraphError(ValueError):
@@ -81,8 +79,7 @@ def kappa_matrix_tree(g: MultiGraph, ell: int | None = None, drop: int = 0) -> T
     No separate connectivity test: by the matrix-tree theorem the
     determinant is 0 exactly when the graph is disconnected.
     """
-    det = bareiss_det if g.n_vertices - 1 <= BAREISS_LIMIT else det_exact_modular
-    kappa = det(reduced_laplacian(g, drop))
+    kappa = det_exact_modular(reduced_laplacian(g, drop))
     if kappa == 0:
         raise DisconnectedGraphError("spanning-tree count requires a connected graph")
     if kappa < 0:

@@ -20,8 +20,6 @@ import numpy as np
 from .graphs import GraphInputError, MultiGraph, build_graph, graph_from_json, graph_to_json
 from .linalg import is_prime
 
-DEFAULT_VERTEX_BUDGET = 2_000_000
-
 _DOT_PALETTE = (
     "lightblue",
     "lightsalmon",
@@ -196,10 +194,14 @@ class DerivedGraph:
     vertex_labels: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def derived_graph(spec: VoltageSpec, n: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> DerivedGraph:
+DEFAULT_BUDGET = 3000  # most vertices of a built layer: derived_graph's default and the CLI's --budget
+
+
+def derived_graph(spec: VoltageSpec, n: int, *, vertex_budget: int = DEFAULT_BUDGET) -> DerivedGraph:
     """Layer n of the tower: vertices (v, sigma), one undirected edge
     from (o(s), sigma) to (t(s), sigma + alpha_n(s)) per section edge s
-    and group element sigma."""
+    and group element sigma.  A layer of more than vertex_budget vertices
+    raises BudgetExceededError."""
     if n < 0:
         raise ValueError("layer index must be nonnegative")
     g = spec.base
@@ -283,9 +285,9 @@ def tower_spec_to_json(spec: VoltageSpec) -> dict:
     }
 
 
-def derived_to_dot(dg: DerivedGraph, name: str = "layer") -> str:
+def derived_to_dot(dg: DerivedGraph) -> str:
     """DOT export of a layer with vertices colored by the base fiber."""
-    lines = [f"graph {name}{dg.level} {{", "  node [style=filled];"]
+    lines = [f"graph layer{dg.level} {{", "  node [style=filled];"]
     for vid, (v, sigma) in enumerate(dg.vertex_labels):
         color = _DOT_PALETTE[v % len(_DOT_PALETTE)]
         label = f"{v}|{','.join(map(str, sigma))}"

@@ -21,7 +21,7 @@ from elltowers.lfunctions import (
     l_value_at_one,
     twisted_adjacency,
 )
-from elltowers.series import ClassicalPoint, char_poly, evaluate_at_classical_point
+from elltowers.series import char_poly, character_values
 from elltowers.treecount import kappa_matrix_tree
 from elltowers.voltage import derived_graph
 
@@ -147,12 +147,11 @@ def test_criterion_5_series_evaluation_identity(calculators):
             poly = char_poly(spec)
             for n in range(1, 4):
                 m = spec.ell**n
-                for a1 in range(m):
-                    for a2 in range(m):
-                        vec = (a1, a2)
-                        lhs = evaluate_at_classical_point(poly, ClassicalPoint(spec.ell, n, vec))
-                        rhs = l_value_at_one(spec, n, CharacterIndex(n, vec))
-                        assert lhs == rhs, (spec.ell, n, vec)
+                vecs = [(a1, a2) for a1 in range(m) for a2 in range(m)]
+                for vec, row in zip(vecs, character_values(poly, spec.ell, n, vecs).tolist()):
+                    lhs = CycInt(spec.ell, n, row)
+                    rhs = l_value_at_one(spec, n, CharacterIndex(n, vec))
+                    assert lhs == rhs, (spec.ell, n, vec)
 
 
 def test_criterion_6_class_formula_suite():

@@ -19,7 +19,7 @@ from elltowers.lfunctions import (
     orbit_records,
     twisted_adjacency,
 )
-from elltowers.series import LaurentPoly, char_poly, character_value, character_values
+from elltowers.series import LaurentPoly, char_poly, character_values
 from elltowers.treecount import kappa_matrix_tree, ord_prime
 from elltowers.voltage import DisconnectedCoverError, VoltageSpec, default_section, derived_graph
 
@@ -78,8 +78,9 @@ def test_char_poly_values_match_determinant(seed, d):
     poly = char_poly(spec)
     for n in range(3):
         m = spec.ell**n
-        vec = tuple(rng.randrange(m) for _ in range(d))
-        assert character_value(poly, spec.ell, n, vec) == l_value_at_one(spec, n, CharacterIndex(n, vec))
+        vecs = [tuple(rng.randrange(m) for _ in range(d)) for _ in range(3)]
+        for vec, row in zip(vecs, character_values(poly, spec.ell, n, vecs).tolist()):
+            assert CycInt(spec.ell, n, row) == l_value_at_one(spec, n, CharacterIndex(n, vec))
 
 
 @pytest.mark.parametrize("d", (1, 2, 3))
@@ -114,7 +115,7 @@ def test_level_ords_independent_of_chunking(monkeypatch, spec, k):
         assert TowerCalculator(spec).level_ords(k) == whole
     calc = TowerCalculator(spec)
     reps = _primitive_orbit_reps(spec.ell, k, spec.d)
-    values = (character_value(calc.poly, spec.ell, k, p) for p in reps)
+    values = (CycInt(spec.ell, k, row) for row in character_values(calc.poly, spec.ell, k, reps).tolist())
     assert whole == tuple(ord_prime(norm_to_int(v), spec.ell) for v in values)
 
 

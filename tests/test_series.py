@@ -4,17 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elltowers.cyclotomic import CycInt
 from elltowers.fit import fit_window, valuation_sequence, verify_fit
 from elltowers.graphs import build_graph
 from elltowers.lfunctions import CharacterIndex, l_value_at_one
-from elltowers.series import (
-    ClassicalPoint,
-    LaurentPoly,
-    char_poly,
-    evaluate_at_classical_point,
-    iwasawa_invariants_d1,
-    q_series,
-)
+from elltowers.series import LaurentPoly, char_poly, character_values, iwasawa_invariants_d1, q_series
 from elltowers.treecount import ord_prime
 from elltowers.voltage import VoltageSpec, default_section, load_tower_spec
 
@@ -66,15 +60,18 @@ def test_mu_of_char_poly_matches_fitted_leading_coefficient():
 
 
 def test_classical_point_trivial_is_zero():
-    assert not evaluate_at_classical_point(char_poly(E1), ClassicalPoint(2, 1, (0, 0)))
+    # P at the trivial character is det(D - A) = 0
+    assert character_values(char_poly(E1), 2, 1, [(0, 0)]).tolist() == [[0]]
 
 
 def test_classical_point_example():
-    got = evaluate_at_classical_point(char_poly(E1), ClassicalPoint(2, 1, (1, 0)))
-    assert got == l_value_at_one(E1, 1, CharacterIndex(1, (1, 0)))
-    assert got.constant_value() == 4
-    with pytest.raises(ValueError):
-        evaluate_at_classical_point(char_poly(E1), ClassicalPoint(2, 1, (1,)))
+    # P = 4 - x1 - 1/x1 - x2 - 1/x2 at (x1, x2) = (-1, 1), i.e. T = (2, 0)
+    row = character_values(char_poly(E1), 2, 1, [(1, 0)])[0].tolist()
+    assert row == [4]
+    assert CycInt(2, 1, row) == l_value_at_one(E1, 1, CharacterIndex(1, (1, 0)))
+    for avecs in ([(1,)], [(1, 0, 0)], [(1, 0), (1,)]):
+        with pytest.raises(ValueError, match="must have 2 entries, the tower rank"):
+            character_values(char_poly(E1), 2, 1, avecs)
 
 
 @settings(max_examples=12, deadline=None)
@@ -85,9 +82,8 @@ def test_classical_point_matches_l_value(seed):
     n = rng.randint(1, 2)
     m = spec.ell**n
     vec = tuple(rng.randrange(m) for _ in range(spec.d))
-    lhs = evaluate_at_classical_point(char_poly(spec), ClassicalPoint(spec.ell, n, vec))
-    rhs = l_value_at_one(spec, n, CharacterIndex(n, vec))
-    assert lhs == rhs
+    row = character_values(char_poly(spec), spec.ell, n, [vec])[0].tolist()
+    assert CycInt(spec.ell, n, row) == l_value_at_one(spec, n, CharacterIndex(n, vec))
 
 
 def test_iwasawa_examples():

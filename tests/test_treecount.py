@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elltowers import linalg
+from elltowers import linalg, treecount
 from elltowers.graphs import build_graph
 from elltowers.lfunctions import TowerCalculator
 from elltowers.linalg import bareiss_det, det_exact_modular, det_mod_prime
 from elltowers.treecount import (
-    BAREISS_LIMIT,
     DisconnectedGraphError,
     kappa_by_enumeration,
     kappa_matrix_tree,
@@ -52,10 +51,10 @@ def test_disconnected_rejected():
 
 
 def test_disconnected_rejected_on_the_modular_path():
-    # two 40-cycles: 79 rows, past the Bareiss limit, and every residue is 0
+    # two 40-cycles: 79 rows, and every residue is 0
     cycle = [(i, (i + 1) % 40) for i in range(40)]
     g = build_graph(80, cycle + [(a + 40, b + 40) for a, b in cycle])
-    assert g.n_vertices - 1 > BAREISS_LIMIT
+    assert g.n_vertices - 1 >= 33
     with pytest.raises(DisconnectedGraphError, match="requires a connected graph"):
         kappa_matrix_tree(g)
 
@@ -77,15 +76,14 @@ def test_reduced_laplacian_is_an_int64_array():
 @settings(max_examples=5, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_matrix_tree_on_derived_layers_agrees_with_bareiss(seed):
-    # layers of up to 300 vertices whose reduced Laplacian is past the
-    # Bareiss limit, so kappa_matrix_tree takes the modular path.  The
-    # oracle is pure-Python Bareiss (cubic) up to 130 rows and the
-    # independent L-function route on larger layers.
+    # layers of 34 to 300 vertices.  The oracle is pure-Python Bareiss
+    # (cubic) up to 130 rows and the independent L-function route on
+    # larger layers.
     rng = random.Random(seed)
     while True:
         spec = random_connected_spec(rng, max_vertices=4, d=rng.choice((1, 2)))
         sizes = {n: spec.base.n_vertices * spec.ell ** (spec.d * n) for n in range(1, 9)}
-        levels = [n for n, v in sizes.items() if BAREISS_LIMIT + 1 < v <= 300]
+        levels = [n for n, v in sizes.items() if 33 < v <= 300]
         if levels:
             break
     n = rng.choice(levels)
@@ -96,6 +94,18 @@ def test_matrix_tree_on_derived_layers_agrees_with_bareiss(seed):
         exact = TowerCalculator(spec).kappa_exact(n)
     assert kappa_matrix_tree(g).kappa == exact
     assert kappa_matrix_tree(g, drop=rng.randrange(1, g.n_vertices)).kappa == exact
+
+
+def test_bareiss_is_off_the_production_path():
+    # every layer determinant goes through det_exact_modular, from the
+    # 0 x 0 reduced Laplacian of one vertex up; Bareiss stays the oracle
+    cycles = [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 34)]
+    layers = [derived_graph(fixture_spec("bouquet2_ell2"), n).graph for n in (1, 2)]
+    graphs = [build_graph(1, [(0, 0)]), build_graph(2, [(0, 1), (0, 1)])] + cycles + layers
+    assert {g.n_vertices for g in graphs} == set(range(1, 34))
+    expected = [bareiss_det(reduced_laplacian(g)) for g in graphs]
+    with mock.patch.object(treecount, "bareiss_det", side_effect=AssertionError("Bareiss was called")):
+        assert [kappa_matrix_tree(g).kappa for g in graphs] == expected
 
 
 def test_ord_prime_values():
@@ -201,7 +211,7 @@ def test_banded_determinant_agrees_with_bareiss(kind, seed):
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["non-symmetric", "zero-diagonal"]))
 def test_banded_determinant_beyond_bareiss_limit(seed, kind):
     rng = random.Random(seed)
-    rows = banded_case(rng, rng.randint(BAREISS_LIMIT + 1, BAREISS_LIMIT + 16), kind)
+    rows = banded_case(rng, rng.randint(33, 48), kind)
     assert_banded_agrees(rows, rng)
 
 
@@ -256,6 +266,23 @@ def test_entries_past_2_25_are_refused():
         with pytest.raises(ValueError, match="entries too large"):
             det_exact_modular([[entry]])
     assert det_mod_prime(np.array([[-WIDEST_ENTRY]]), PRIMES) == [-WIDEST_ENTRY % p for p in PRIMES]
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[2**64 - 1]], dtype=np.uint64),  # wraps to -1 in int64
+        np.array([[-(2**63)]], dtype=np.int64),  # its absolute value is negative in int64
+        [[2**70]],  # past int64
+        [[2**64 - 1]],
+    ],
+    ids=["uint64", "int64-min", "python-int", "python-uint64"],
+)
+def test_entries_too_large_for_int64_are_refused(mat):
+    with pytest.raises(ValueError, match="entries too large"):
+        det_exact_modular(mat)
+    with pytest.raises(ValueError, match="entries too large"):
+        det_mod_prime(np.asarray(mat), PRIMES)
 
 
 def passes_taken(call):

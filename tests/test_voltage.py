@@ -117,6 +117,10 @@ def test_disconnected_layer_raises_by_default():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         derived_graph(E1, 3, vertex_budget=10)
+    # the default is the CLI's: layer 6 has 4096 vertices
+    assert derived_graph(E1, 5).graph.n_vertices == 1024
+    with pytest.raises(BudgetExceededError, match="budget is 3000"):
+        derived_graph(E1, 6)
 
 
 @settings(max_examples=15, deadline=None)
