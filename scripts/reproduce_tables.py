@@ -3,9 +3,10 @@
 
 Runs every fixture in fixtures/ to its recorded depth (n = 10 for the
 ell = 2 towers, n = 7 for ell = 3), prints the per-layer valuations with
-timings, fits the growth polynomial on the deepest window, and reports
-how far back the fit verifies.  The last line is the wall time of the
-whole run.
+timings (a layer's time includes its matrix-tree cross-check when
+--budget admits the layer), fits the growth polynomial on the deepest
+window, and reports how far back the fit verifies.  The last line is the
+wall time of the whole run.
 
 Usage:
     python scripts/reproduce_tables.py [--n-max N] [--budget VERTICES]
@@ -21,11 +22,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from elltowers import (  # noqa: E402
     TowerCalculator,
+    ValuationSequence,
     fit_window,
     format_fit,
     load_tower_spec,
     monomial_basis,
-    valuation_sequence,
+    sequence_entry,
     verify_fit,
 )
 from elltowers.cli import _nonnegative, _positive  # noqa: E402
@@ -40,11 +42,12 @@ def run_fixture(path: Path, n_max_override, budget):
     print(f"== {path.stem}  (ell={spec.ell}, d={spec.d}, |S|={len(spec.alpha)})")
     calc = TowerCalculator(spec)
     t_start = time.perf_counter()
+    entries = []
     for n in range(1, n_max + 1):
         t0 = time.perf_counter()
-        order = calc.ord_valuation(n)
-        print(f"  n={n:2d}  ord={order:>9d}   ({time.perf_counter() - t0:6.2f}s)")
-    seq = valuation_sequence(spec, n_max, matrix_tree_budget=budget, calculator=calc)
+        entries.append(sequence_entry(calc, n, budget))
+        print(f"  n={n:2d}  ord={entries[-1].ord_ell:>9d}   ({time.perf_counter() - t0:6.2f}s)")
+    seq = ValuationSequence(spec.ell, spec.d, tuple(entries))
     unknowns = len(monomial_basis(spec.d))
     if n_max >= unknowns:
         fit = fit_window(seq, (n_max - unknowns + 1, n_max))

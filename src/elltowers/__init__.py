@@ -9,7 +9,7 @@ The package namespace holds only what the table script needs; everything
 else is imported from its submodule (elltowers.voltage, .lfunctions, ...).
 """
 
-from .fit import fit_window, format_fit, monomial_basis, valuation_sequence, verify_fit
+from .fit import ValuationSequence, fit_window, format_fit, monomial_basis, sequence_entry, verify_fit
 from .lfunctions import TowerCalculator
 from .voltage import load_tower_spec
 

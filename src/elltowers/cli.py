@@ -214,18 +214,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if window[0] > 1:
         earlier = fit_window(seq, (window[0] - 1, window[1] - 1))
         stable = earlier is not None and earlier.coefficients == fit.coefficients
-    doc = {
-        "ell": spec.ell,
-        "d": spec.d,
-        "formula": format_fit(fit),
-        "coefficients": {_monomial_label(k, j): str(c) for (k, j), c in fit.coefficients.items()},
-        "window": list(fit.window),
-        "verified_range": list(verified) if verified else None,
-        "stable": stable,
-        "leading_coefficients_integral": leading_coefficients_integral(fit),
-        "rows": _sequence_rows(seq),
-    }
+    formula, integral = format_fit(fit), leading_coefficients_integral(fit)
     if args.format == "json":
+        doc = {
+            "ell": spec.ell,
+            "d": spec.d,
+            "formula": formula,
+            "coefficients": {_monomial_label(k, j): str(c) for (k, j), c in fit.coefficients.items()},
+            "window": list(fit.window),
+            "verified_range": list(verified) if verified else None,
+            "stable": stable,
+            "leading_coefficients_integral": integral,
+            "rows": _sequence_rows(seq),
+        }
         _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     else:
         buf = io.StringIO()
@@ -236,10 +237,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         writer.writerow(["window", f"{fit.window[0]}..{fit.window[1]}"])
         writer.writerow(["verified_range", f"{verified[0]}..{verified[1]}" if verified else "none"])
         writer.writerow(["stable", stable])
-        writer.writerow(["formula", format_fit(fit)])
+        writer.writerow(["formula", formula])
         _emit(buf.getvalue(), args.out)
-    suspicious = not leading_coefficients_integral(fit)
-    if suspicious and stable:
+    if stable and not integral:
         print("warning: stable fit with non-integral leading coefficients", file=sys.stderr)
     if residuals and verified is None:
         print("warning: fitted polynomial does not reproduce the deepest layer", file=sys.stderr)

@@ -30,15 +30,18 @@ The tree-number identity used everywhere downstream:
 
 so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum of the per-orbit
 pi-adic orders (exact, no norms needed; full integers come on demand via
-resultants).  Each level is one batched pass: the values of all its orbit
+resultants).  Each level is evaluated in one place,
+TowerCalculator._level_pass: the values of a block of its orbit
 representatives are rows of one integer array (series.character_values)
 and their orders come from one pi_adic_ords call, in chunks of at most
 about _CHUNK_ENTRIES work entries so memory stays flat as the level grows.
-The only cache is TowerCalculator's per-level orders and norms.
+level_ords, level_norms and orbit_records read that pass and nothing else;
+the only cache is TowerCalculator's per-level orders and norms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -172,17 +175,6 @@ def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return reps[keep], n - run[keep]
 
 
-def _primitive_orbit_reps(ell: int, k: int, d: int) -> np.ndarray:
-    """Lexicographically least members of the unit-group orbits on the
-    primitive vectors modulo ell^k (those with a unit coordinate), sorted:
-    the exact-level-k block of _orbit_reps(ell, k, d).  A member's lead
-    coordinate is ell^t, and each later coordinate of valuation s is
-    ell^s * v with v a unit below ell^(k-max(s, t)), t the least valuation
-    before it."""
-    reps, levels = _orbit_reps(ell, k, d)
-    return reps[levels == k]
-
-
 def _character_orbits(ell: int, n: int, reps: np.ndarray, levels: np.ndarray) -> list[CharacterOrbit]:
     """CharacterOrbits for _orbit_reps' rows, whose tuples are zipped from
     the columns (no list per row is held alongside them)."""
@@ -222,8 +214,7 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     orbits = iter(_character_orbits(ell, n, reps, levels))
     out = []
     for k in range(1, n + 1):
-        for rows in calc._level_rows(k, reps[levels == k] // ell ** (n - k)):
-            ords = pi_adic_ords(rows, ell).tolist()  # before the rows become lists
+        for rows, ords in calc._level_pass(k, reps[levels == k] // ell ** (n - k)):
             for row, order in zip(rows.tolist(), ords):
                 value = CycInt(ell, k, row)
                 skip = 0 < digit_limit < _digit_bound(value)
@@ -259,8 +250,9 @@ class TowerCalculator:
     for every layer n >= k, so the tables for n = 1..n_max cost one pass
     per level, not one per layer; this is the package's only cache.  Every
     value is a specialization of the characteristic polynomial P, built on
-    first use; values, orders and norms of a level all read the same
-    chunked rows of character_values.
+    first use.  A level is evaluated by one pass (_level_pass) that gives
+    each chunk's value rows and pi-adic orders together, so level_norms
+    checks every norm against the order from its own pass.
     """
 
     def __init__(self, spec: VoltageSpec):
@@ -274,52 +266,51 @@ class TowerCalculator:
         self._level_ords: dict[int, tuple[int, ...]] = {}
         self._level_norms: dict[int, tuple[int, ...]] = {}
         self._base: TreeCount | None = None
-        self._poly: LaurentPoly | None = None
 
-    @property
+    @functools.cached_property
     def poly(self) -> LaurentPoly:
         """P(x) = det(D - A_x), computed once."""
-        if self._poly is None:
-            self._poly = char_poly(self.spec)
-        return self._poly
+        return char_poly(self.spec)
 
     def base_tree_count(self) -> TreeCount:
         if self._base is None:
             self._base = kappa_matrix_tree(self.spec.base, self.spec.ell)
         return self._base
 
-    def _level_rows(self, k: int, prims: np.ndarray):
-        """Values of the exact-level-k representatives prims, as successive
-        arrays of power-basis rows (character_values) of at most about
-        _CHUNK_ENTRIES work entries each."""
+    def _level_pass(self, k: int, reps: np.ndarray | None = None):
+        """(power-basis value rows, pi-adic orders) of the exact-level-k
+        representatives reps (default: the level-k block of _orbit_reps), by
+        chunks of at most about _CHUNK_ENTRIES work entries."""
         ell = self.spec.ell
+        if reps is None:
+            reps, levels = _orbit_reps(ell, k, self.spec.d)
+            reps = reps[levels == k]
         step = max(1, _CHUNK_ENTRIES // ell**k)
-        for i in range(0, len(prims), step):
-            yield character_values(self.poly, ell, k, prims[i : i + step])
+        for i in range(0, len(reps), step):
+            rows = character_values(self.poly, ell, k, reps[i : i + step])
+            yield rows, pi_adic_ords(rows, ell).tolist()
 
     def level_ords(self, k: int) -> tuple[int, ...]:
-        """pi-adic orders of all exact-level-k orbit values, aligned with
-        _primitive_orbit_reps(ell, k, d): one pi_adic_ords pass per chunk."""
+        """pi-adic orders of all exact-level-k orbit values, in representative order."""
         got = self._level_ords.get(k)
         if got is None:
-            prims = _primitive_orbit_reps(self.spec.ell, k, self.spec.d)
-            chunks = [pi_adic_ords(rows, self.spec.ell) for rows in self._level_rows(k, prims)]
-            got = self._level_ords[k] = tuple(np.concatenate(chunks).tolist())
+            got = self._level_ords[k] = tuple(o for _, ords in self._level_pass(k) for o in ords)
         return got
 
     def level_norms(self, k: int) -> tuple[int, ...]:
-        """Norms of the exact-level-k orbit values, checked against level_ords(k)."""
+        """Norms of the exact-level-k orbit values, each checked against
+        the pi-adic order from the same pass."""
         got = self._level_norms.get(k)
         if got is None:
-            ell, prims = self.spec.ell, _primitive_orbit_reps(self.spec.ell, k, self.spec.d)
-            values = (CycInt(ell, k, row) for rows in self._level_rows(k, prims) for row in rows.tolist())
-            got = self._level_norms[k] = tuple(_checked_norm(v, o) for v, o in zip(values, self.level_ords(k)))
+            ell, norms = self.spec.ell, []
+            for rows, ords in self._level_pass(k):
+                norms += (_checked_norm(CycInt(ell, k, row), o) for row, o in zip(rows.tolist(), ords))
+            got = self._level_norms[k] = tuple(norms)
         return got
 
     def ord_valuation(self, n: int) -> int:
         """ord_ell(kappa_n) via the orbit-sum formula; exact, no norms."""
-        base = self.base_tree_count()
-        total = base.ord_ell
+        total = self.base_tree_count().ord_ell
         for k in range(1, n + 1):
             total += sum(self.level_ords(k))
         return total - self.spec.d * n
@@ -327,8 +318,7 @@ class TowerCalculator:
     def kappa_exact(self, n: int) -> int:
         """The full tree number of layer n from the orbit-norm product."""
         spec = self.spec
-        base = self.base_tree_count()
-        prod = base.kappa
+        prod = self.base_tree_count().kappa
         for k in range(1, n + 1):
             for v in self.level_norms(k):
                 prod *= v

@@ -13,7 +13,6 @@ from elltowers.graphs import build_graph
 from elltowers.lfunctions import (
     CharacterIndex,
     TowerCalculator,
-    _primitive_orbit_reps,
     enumerate_orbits,
     l_value_at_one,
     orbit_records,
@@ -27,6 +26,13 @@ from conftest import fixture_spec, random_connected_spec
 
 E1 = fixture_spec("bouquet2_ell2")
 E4 = fixture_spec("bouquet2_ell3")
+
+
+def _level_block(ell, k, d):
+    """The exact-level-k block of _orbit_reps(ell, k, d): least members of
+    the orbits on the primitive vectors mod ell^k."""
+    reps, levels = lfunctions._orbit_reps(ell, k, d)
+    return reps[levels == k]
 
 
 def test_trivial_character_gives_plain_adjacency():
@@ -114,7 +120,7 @@ def test_level_ords_independent_of_chunking(monkeypatch, spec, k):
         monkeypatch.setattr(lfunctions, "_CHUNK_ENTRIES", entries)
         assert TowerCalculator(spec).level_ords(k) == whole
     calc = TowerCalculator(spec)
-    reps = _primitive_orbit_reps(spec.ell, k, spec.d)
+    reps = _level_block(spec.ell, k, spec.d)
     values = (CycInt(spec.ell, k, row) for row in character_values(calc.poly, spec.ell, k, reps).tolist())
     assert whole == tuple(ord_prime(norm_to_int(v), spec.ell) for v in values)
 
@@ -188,7 +194,7 @@ def test_representative_is_lexicographically_least():
                     for suffix in product(range(m), repeat=d - 1 - pivot):
                         v = prefix + (1,) + suffix
                         brute.append(min(tuple(u * x % m for x in v) for u in units))
-            got = _primitive_orbit_reps(ell, k, d).tolist()
+            got = _level_block(ell, k, d).tolist()
             assert got == [list(v) for v in sorted(brute)], (ell, k, d)
 
 
@@ -225,7 +231,7 @@ def test_orbit_counts_match_closed_form():
         want = [(ell ** (d * k) - ell ** (d * (k - 1))) // phi_ell_power(ell, k) for k in range(1, n + 1)]
         assert counts == [0] + want, (ell, n, d)
         assert len(reps) == len(levels) == sum(want)
-        assert len(_primitive_orbit_reps(ell, n, d)) == want[-1]
+        assert len(_level_block(ell, n, d)) == want[-1]
 
 
 @pytest.mark.parametrize("ell, n", [(2, 62), (2, 63), (2, 70), (3, 40), (3, 41)])
@@ -236,7 +242,7 @@ def test_orbits_stay_exact_past_int64(ell, n):
     assert [o.representative.vector for o in orbits] == [(ell ** (n - k),) for k in range(1, n + 1)]
     assert [(o.exact_order, o.size) for o in orbits] == [(ell**k, phi_ell_power(ell, k)) for k in range(1, n + 1)]
     assert all(type(o.representative.vector[0]) is int for o in orbits)
-    assert _primitive_orbit_reps(ell, n, 1).tolist() == [[1]]
+    assert _level_block(ell, n, 1).tolist() == [[1]]
 
 
 def test_orbit_records_enumerate_once(monkeypatch):
@@ -256,6 +262,21 @@ def test_orbit_records_enumerate_once(monkeypatch):
     records = orbit_records(E1, 4)
     assert calls == {"reps": 1, "values": 4}
     assert [r.orbit for r in records] == enumerate_orbits(2, 4, 2)
+
+
+def test_kappa_exact_evaluates_each_level_once(monkeypatch):
+    # a cold kappa_exact reads norms and their orders off one value pass
+    # per level (each level here fits in one chunk)
+    levels = []
+    values = lfunctions.character_values
+
+    def counted(poly, ell, level, avecs):
+        levels.append(level)
+        return values(poly, ell, level, avecs)
+
+    monkeypatch.setattr(lfunctions, "character_values", counted)
+    assert TowerCalculator(E1).kappa_exact(4) == kappa_matrix_tree(derived_graph(E1, 4).graph).kappa
+    assert levels == [1, 2, 3, 4]
 
 
 def test_orbit_records_are_immutable_hashable_and_picklable():

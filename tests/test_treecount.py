@@ -235,16 +235,18 @@ def test_band_not_size_limits_elimination():
 
 
 def test_modular_determinant_builds_no_n_squared_temporary():
-    # a 32 MB input: one n x n temporary, even a bool one, would show
-    n = 2048
-    mat = np.zeros((n, n), dtype=np.int64)
-    i = np.arange(n)
+    # a 32 MB input: one n x n temporary, even a bool one, would show.  The
+    # identity with a 64-row (2, -1) block has det 65, so its bound asks for
+    # few primes and tracemalloc traces few modular inverses
+    n, b = 2048, 64
+    mat = np.eye(n, dtype=np.int64)
+    i = np.arange(b)
     mat[i, i] = 2
     mat[i[1:], i[:-1]] = -1
     mat[i[:-1], i[1:]] = -1
     tracemalloc.start()
     try:
-        assert det_exact_modular(mat) == n + 1
+        assert det_exact_modular(mat) == b + 1
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
