@@ -334,18 +334,3 @@ def norm_to_int(x: CycInt) -> int:
         return f[0] ** phi
     return _resultant(_cyclotomic_polynomial(x.ell, x.level), f)
 
-
-def norm_by_conjugates(x: CycInt) -> int:
-    """Independent norm: the in-ring product of all conjugates of x.
-
-    Quadratic in phi per multiplication, so only sensible at small levels;
-    kept as the cross-check for the resultant route.
-    """
-    if x.level == 0:
-        return x.coeffs[0]
-    m = x.ell**x.level
-    prod = CycInt.one(x.ell, x.level)
-    for u in range(1, m):
-        if u % x.ell:
-            prod = prod * x.conjugate(u)
-    return prod.constant_value()

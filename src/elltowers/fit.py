@@ -52,21 +52,20 @@ def sequence_entry(calc: TowerCalculator, n: int, matrix_tree_budget: int) -> Se
     integer comparison against the matrix-tree determinant whenever the
     layer fits inside the vertex budget."""
     spec = calc.spec
-    order = calc.ord_valuation(n)
-    route = "l-function"
     layer_vertices = spec.base.n_vertices * spec.ell ** (spec.d * n)
-    if layer_vertices <= matrix_tree_budget:
-        layer = derived_graph(spec, n, vertex_budget=matrix_tree_budget)
-        mt = kappa_matrix_tree(layer.graph, spec.ell)
-        lf = calc.kappa_exact(n)
-        if mt.kappa != lf or mt.ord_ell != order:
-            raise RouteMismatchError(
-                f"layer {n}: matrix-tree kappa has ord {mt.ord_ell}, "
-                f"L-function route gives {order}",
-                records=orbit_records(spec, n),
-            )
-        route = "both-agree"
-    return SequenceEntry(n, order, route)
+    if layer_vertices > matrix_tree_budget:
+        return SequenceEntry(n, calc.ord_valuation(n), "l-function")
+    lf = calc.kappa_exact(n)  # first: its level passes also give the orders ord_valuation reads
+    order = calc.ord_valuation(n)
+    layer = derived_graph(spec, n, vertex_budget=matrix_tree_budget)
+    mt = kappa_matrix_tree(layer.graph, spec.ell)
+    if mt.kappa != lf or mt.ord_ell != order:
+        raise RouteMismatchError(
+            f"layer {n}: matrix-tree kappa has ord {mt.ord_ell}, "
+            f"L-function route gives {order}",
+            records=orbit_records(spec, n),
+        )
+    return SequenceEntry(n, order, "both-agree")
 
 
 def valuation_sequence(

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import bareiss_det, solve_linear_fractions
-
 
 class GraphInputError(ValueError):
     pass
@@ -115,82 +113,6 @@ def validate_base(g: MultiGraph) -> ValidationReport:
     if chi == 0:
         reasons.append("Euler characteristic is zero")
     return ValidationReport(connected, min_val, chi, tuple(reasons))
-
-
-@dataclass(frozen=True)
-class GraphMatrices:
-    adjacency: tuple[tuple[int, ...], ...]
-    degree: tuple[tuple[int, ...], ...]
-    euler_char: int
-
-
-def matrices(g: MultiGraph) -> GraphMatrices:
-    """Adjacency and valency matrices.  A loop contributes 2 to its
-    diagonal adjacency entry (one per orientation), matching the valency
-    convention, so row sums of A equal the diagonal of D."""
-    n = g.n_vertices
-    a = [[0] * n for _ in range(n)]
-    for e in range(g.n_directed):
-        a[g.origin(e)][g.terminus(e)] += 1
-    val = g.valencies()
-    d = [[val[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return GraphMatrices(
-        tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in d),
-        g.euler_char,
-    )
-
-
-@dataclass(frozen=True)
-class IharaPolynomial:
-    """Integer polynomial det(I - A u + (D - I) u^2), stored low degree first."""
-
-    coeffs: tuple[int, ...]
-
-    def __call__(self, u: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc
-
-    def derivative_at(self, u: int) -> int:
-        acc = 0
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * u + i * self.coeffs[i]
-        return acc
-
-
-def ihara_h(g: MultiGraph) -> IharaPolynomial:
-    """The three-term determinant polynomial of the graph.
-
-    Computed by evaluating det(I - A t + (D - I) t^2) at 2|V| + 1 integer
-    points with fraction-free determinants and interpolating; the
-    interpolation is exact and the coefficients are checked to be integers.
-    """
-    mats = matrices(g)
-    n = g.n_vertices
-    deg = 2 * n
-    points = list(range(deg + 1))
-    values = []
-    for t in points:
-        m = [
-            [
-                (1 if i == j else 0)
-                - mats.adjacency[i][j] * t
-                + ((mats.degree[i][j] - (1 if i == j else 0)) * t * t)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        values.append(bareiss_det(m))
-    vander = [[t**k for k in range(deg + 1)] for t in points]
-    sol = solve_linear_fractions(vander, values)
-    coeffs = []
-    for c in sol:
-        if c.denominator != 1:
-            raise RuntimeError("interpolated polynomial is not integral")
-        coeffs.append(int(c))
-    return IharaPolynomial(tuple(coeffs))
 
 
 # i/o ------------------------------------------------------------------------

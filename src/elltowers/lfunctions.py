@@ -3,11 +3,11 @@
 For a character psi of (Z/ell^n Z)^d indexed by a vector a, the twisted
 adjacency matrix has entries sum psi(alpha(s)) + psi(-alpha(s)) over the
 section edges joining the two vertices, and the special value of interest
-is det(D - A_psi), a cyclotomic integer.  Production code reads it off the
-tower's characteristic polynomial P(x) = det(D - A_x) (series.char_poly),
-computed once per TowerCalculator; twisted_adjacency and l_value_at_one
-build the twisted matrix directly and stay as the independent oracle the
-tests compare P against.  Characters fall into Galois orbits under the
+is det(D - A_psi), a cyclotomic integer.  It is read off the tower's
+characteristic polynomial P(x) = det(D - A_x) (series.char_poly), computed
+once per TowerCalculator; the tests check P against the oracle in
+tests/oracles.py, which builds each twisted matrix directly and takes its
+determinant.  Characters fall into Galois orbits under the
 diagonal action of (Z/ell^n Z)^x; the product of the values over one
 orbit is a rational integer, equal to the norm of the value at any orbit
 member taken from the field its exact order generates.
@@ -55,10 +55,10 @@ from .cyclotomic import (  # noqa: F401  (pi_adic_ord: perfbench/tracer.py looks
     pi_adic_ords,
 )
 from .graphs import validate_base
-from .linalg import det_in_ring
+from .linalg import det_in_ring  # noqa: F401  (perfbench/tracer.py looks it up here)
 from .series import LaurentPoly, char_poly, character_values
 from .treecount import TreeCount, kappa_matrix_tree, ord_prime
-from .voltage import DisconnectedCoverError, VoltageSpec, check_tower_connectivity, reduce_voltage
+from .voltage import DisconnectedCoverError, VoltageSpec, check_tower_connectivity
 
 
 class CharacterIndex(NamedTuple):
@@ -84,46 +84,6 @@ class LValueRecord(NamedTuple):
     orbit: CharacterOrbit
     ord_ell: int
     integer_value: int | None
-
-
-# the oracle: one twisted determinant per character ------------------------------
-
-
-def _twisted_counts(spec: VoltageSpec, n: int, chi: CharacterIndex, sign: int):
-    """sign times the twisted adjacency matrix, each entry (i, j) as its
-    coefficient list over the exponents 0..ell^n - 1 of zeta."""
-    if chi.level != n:
-        raise ValueError("character level does not match the requested layer")
-    if len(chi.vector) != spec.d:
-        raise ValueError("character index has the wrong number of coordinates")
-    g = spec.base
-    m = spec.ell**n
-    alpha_n = reduce_voltage(spec, n)
-    rows = [[[0] * m for _ in range(g.n_vertices)] for _ in range(g.n_vertices)]
-    for idx, s in enumerate(spec.section.edges):
-        i, j = g.origin(s), g.terminus(s)
-        c = sum(a * b for a, b in zip(chi.vector, alpha_n[idx])) % m
-        rows[i][j][c] += sign
-        rows[j][i][-c % m] += sign
-    return rows
-
-
-def twisted_adjacency(spec: VoltageSpec, n: int, chi: CharacterIndex):
-    """The adjacency matrix twisted by the character indexed by chi:
-    entry (i, j) sums zeta^(a.alpha(s)) over section edges from v_i to
-    v_j plus zeta^(-a.alpha(s)) over those from v_j to v_i."""
-    rows = _twisted_counts(spec, n, chi, 1)
-    return [[CycInt.from_exponents(spec.ell, n, entry) for entry in row] for row in rows]
-
-
-def l_value_at_one(spec: VoltageSpec, n: int, chi: CharacterIndex) -> CycInt:
-    """det(D - A_psi): the special value of the twisted determinant
-    polynomial at u = 1.  Zero exactly at the trivial character (for a
-    connected tower)."""
-    rows = _twisted_counts(spec, n, chi, -1)
-    for i, v in enumerate(spec.base.valencies()):
-        rows[i][i][0] += v
-    return det_in_ring([[CycInt.from_exponents(spec.ell, n, entry) for entry in row] for row in rows])
 
 
 # orbit enumeration ------------------------------------------------------------
@@ -299,12 +259,15 @@ class TowerCalculator:
 
     def level_norms(self, k: int) -> tuple[int, ...]:
         """Norms of the exact-level-k orbit values, each checked against
-        the pi-adic order from the same pass."""
+        the pi-adic order from the same pass; that pass's orders are kept
+        as level k's orders too."""
         got = self._level_norms.get(k)
         if got is None:
-            ell, norms = self.spec.ell, []
+            ell, norms, orders = self.spec.ell, [], []
             for rows, ords in self._level_pass(k):
                 norms += (_checked_norm(CycInt(ell, k, row), o) for row, o in zip(rows.tolist(), ords))
+                orders += ords
+            self._level_ords[k] = tuple(orders)
             got = self._level_norms[k] = tuple(norms)
         return got
 

@@ -97,8 +97,8 @@ def det_in_ring(rows):
     operations; meant for small matrices whose entries are ring elements
     where exact division is awkward: Laurent polynomials, once per tower
     for the characteristic polynomial P(x) = det(D - A_x), and cyclotomic
-    integers in the l_value_at_one oracle.  Entries must support +, -, *
-    and truthiness.
+    integers in the tests' l_value_at_one oracle (tests/oracles.py).
+    Entries must support +, -, * and truthiness.
     """
     n = len(rows)
     if n == 0:

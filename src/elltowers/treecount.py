@@ -20,7 +20,6 @@ against, off this path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -87,35 +86,3 @@ def kappa_matrix_tree(g: MultiGraph, ell: int | None = None, drop: int = 0) -> T
     ord_ell = ord_prime(kappa, ell) if ell is not None else None
     return TreeCount(kappa, ell, ord_ell)
 
-
-def kappa_by_enumeration(g: MultiGraph) -> int:
-    """Count spanning trees by brute force over edge subsets.
-
-    The independent oracle for the determinant route; only usable on tiny
-    graphs (the subset count is binomial in the edge count).
-    """
-    if g.n_undirected > 20:
-        raise ValueError("enumeration oracle is limited to 20 undirected edges")
-    n = g.n_vertices
-    need = n - 1
-    count = 0
-    for combo in combinations(range(g.n_undirected), need):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for j in combo:
-            a, b = g.edge_pairs[j]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if acyclic:
-            count += 1
-    return count

@@ -13,19 +13,13 @@ import pytest
 
 from elltowers.cyclotomic import CycInt
 from elltowers.fit import fit_window, valuation_sequence, verify_fit
-from elltowers.graphs import ihara_h, matrices
-from elltowers.lfunctions import (
-    CharacterIndex,
-    TowerCalculator,
-    enumerate_orbits,
-    l_value_at_one,
-    twisted_adjacency,
-)
+from elltowers.lfunctions import CharacterIndex, TowerCalculator, enumerate_orbits
 from elltowers.series import char_poly, character_values
 from elltowers.treecount import kappa_matrix_tree
 from elltowers.voltage import derived_graph
 
 from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec, random_validated_graph
+from oracles import ihara_h, l_value_at_one, matrices, twisted_adjacency
 
 TABLES = {
     "bouquet2_ell2": [5, 19, 61, 167, 417, 987, 2261, 5071, 11209, 24515],

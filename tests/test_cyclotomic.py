@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from elltowers.cyclotomic import (
     CycInt,
-    norm_by_conjugates,
     norm_to_int,
     phi_ell_power,
     pi_adic_ord,
     pi_adic_ords,
 )
 from elltowers.treecount import ord_prime
+
+from oracles import norm_by_conjugates
 
 LEVELS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
 

@@ -9,13 +9,12 @@ from elltowers.graphs import (
     build_graph,
     graph_from_json,
     graph_to_json,
-    ihara_h,
-    matrices,
     validate_base,
 )
 from elltowers.treecount import kappa_matrix_tree
 
 from conftest import random_validated_graph
+from oracles import ihara_h, matrices
 
 BOUQUET2 = build_graph(1, [(0, 0), (0, 0)])
 DOUBLED_EDGE = build_graph(2, [(0, 1), (0, 1)])

@@ -9,20 +9,20 @@ from hypothesis import strategies as st
 
 from elltowers import lfunctions
 from elltowers.cyclotomic import CycInt, norm_to_int, phi_ell_power
+from elltowers.fit import valuation_sequence
 from elltowers.graphs import build_graph
 from elltowers.lfunctions import (
     CharacterIndex,
     TowerCalculator,
     enumerate_orbits,
-    l_value_at_one,
     orbit_records,
-    twisted_adjacency,
 )
 from elltowers.series import LaurentPoly, char_poly, character_values
 from elltowers.treecount import kappa_matrix_tree, ord_prime
 from elltowers.voltage import DisconnectedCoverError, VoltageSpec, default_section, derived_graph
 
 from conftest import fixture_spec, random_connected_spec
+from oracles import l_value_at_one, matrices, twisted_adjacency
 
 E1 = fixture_spec("bouquet2_ell2")
 E4 = fixture_spec("bouquet2_ell3")
@@ -39,8 +39,6 @@ def test_trivial_character_gives_plain_adjacency():
     g = build_graph(2, [(0, 1), (0, 1), (0, 0)])
     spec = VoltageSpec(g, default_section(g), ((1, 0), (0, 1), (1, 1)), 2, 2)
     a = twisted_adjacency(spec, 1, CharacterIndex(1, (0, 0)))
-    from elltowers.graphs import matrices
-
     plain = matrices(g).adjacency
     for i in range(2):
         for j in range(2):
@@ -277,6 +275,11 @@ def test_kappa_exact_evaluates_each_level_once(monkeypatch):
     monkeypatch.setattr(lfunctions, "character_values", counted)
     assert TowerCalculator(E1).kappa_exact(4) == kappa_matrix_tree(derived_graph(E1, 4).graph).kappa
     assert levels == [1, 2, 3, 4]
+    # a table cross-checks layers 1..5 within the default budget and reads
+    # the orders of layers 6 and 7 alone: still one pass per level
+    levels.clear()
+    valuation_sequence(E1, 7)
+    assert levels == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_orbit_records_are_immutable_hashable_and_picklable():
@@ -395,8 +398,6 @@ def test_non_bouquet_tower_tables():
     # base factor enters the product formula (with ord_3(kappa_X) = 1 for
     # ell = 3).  Frozen values were cross-checked against matrix-tree
     # counts of the explicit layers (route "both-agree" up to the budget).
-    from elltowers.fit import valuation_sequence
-
     g = build_graph(2, [(0, 1), (0, 1), (0, 1)])
     spec2 = VoltageSpec(g, default_section(g), ((1, 0), (0, 1), (0, 0)), 2, 2)
     seq2 = valuation_sequence(spec2, 3, matrix_tree_budget=600)

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from elltowers.cyclotomic import CycInt
 from elltowers.fit import fit_window, valuation_sequence, verify_fit
 from elltowers.graphs import build_graph
-from elltowers.lfunctions import CharacterIndex, l_value_at_one
+from elltowers.lfunctions import CharacterIndex
 from elltowers.series import LaurentPoly, char_poly, character_values, iwasawa_invariants_d1, q_series
 from elltowers.treecount import ord_prime
 from elltowers.voltage import VoltageSpec, default_section, load_tower_spec
 
 from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec
+from oracles import l_value_at_one
 from test_acceptance import FITS
 
 E1 = fixture_spec("bouquet2_ell2")

@@ -14,7 +14,6 @@ from elltowers.lfunctions import TowerCalculator
 from elltowers.linalg import bareiss_det, det_exact_modular, det_mod_prime
 from elltowers.treecount import (
     DisconnectedGraphError,
-    kappa_by_enumeration,
     kappa_matrix_tree,
     ord_prime,
     reduced_laplacian,
@@ -22,6 +21,7 @@ from elltowers.treecount import (
 from elltowers.voltage import derived_graph
 
 from conftest import fixture_spec, random_connected_spec, random_validated_graph
+from oracles import kappa_by_enumeration
 
 DOUBLED_C4 = build_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)])
 
