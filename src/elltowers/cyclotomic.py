@@ -18,8 +18,6 @@ convenient for trivial characters.
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 
@@ -183,6 +181,37 @@ class CycInt:
 # valuations -----------------------------------------------------------------
 
 
+def _residues(x: np.ndarray, ell: int) -> np.ndarray:
+    """x mod ell as int64, by floor division, multiply and subtract in one
+    buffer (several times faster than np.remainder on int64 arrays)."""
+    r = x // ell
+    r *= ell
+    np.subtract(x, r, out=r)
+    return r.astype(np.int64, copy=False)
+
+
+def _first_taylor_coefficient(x: np.ndarray, ell: int, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of residues x: the least j whose Taylor coefficient at 1,
+    c_j = sum_e C(e, j) x_e mod ell, is nonzero, and whether there is one.
+    The column index is a mixed-radix number with digit sizes `sizes`
+    (lowest first, each at most ell), so by Lucas the transform is one
+    Pascal matrix mod ell per digit axis, applied in place; entries stay
+    below ell^3 between reductions."""
+    stride = 1
+    for s in sizes:
+        v = x.reshape(-1, s, stride)
+        row = [1]
+        for e in range(1, s):  # column e is read before any update writes it
+            row = [(a + b) % ell for a, b in zip([0] + row, row + [0])]  # C(e, j) mod ell
+            for j, c in enumerate(row[:e]):
+                if c:
+                    v[:, j] += v[:, e] if c == 1 else c * v[:, e]
+        x = _residues(x, ell)
+        stride *= s
+    nonzero = x != 0
+    return nonzero.argmax(axis=1), nonzero.any(axis=1)
+
+
 def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
     """Orders at the prime above ell of a batch of nonzero elements of one
     level, given as rows of power-basis coefficients (int64 with entries
@@ -191,51 +220,47 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
     The prime is totally ramified: ell = pi^phi * unit with pi = 1 - zeta,
     and Phi = (X - 1)^phi mod ell (Washington, Introduction to Cyclotomic
     Fields, ch. 1).  Dividing a row's ell-content ell^c out contributes
-    c * phi; what remains is nonzero modulo ell, so its order r is below
-    phi and equals the multiplicity of the root 1 of its coefficient
-    polynomial over F_ell.  Each division by X - 1 is one cumsum over the
-    whole batch, taken from the constant term: it divides the
-    reversed row X^(phi-1) f(1/X), whose multiplicity at 1 is the same.
-    Only the rows whose remainder is still 0 take the next step.  Level 0
-    (phi = 1) is the plain ell-adic valuation of an integer.  A zero row
-    raises ValueError.
+    c * phi; what remains, f mod ell, is a nonzero polynomial of degree
+    below phi, and its order r is the least j whose Taylor coefficient
+    c_j = sum_e C(e, j) f_e at 1 is nonzero mod ell.  Level 0 (phi = 1) is
+    the plain ell-adic valuation of an integer.  A zero row raises
+    ValueError.
 
-    The division steps reduce lazily: only the last column is taken mod
-    ell.  Residues start in [0, ell - 1] as int64 (for object rows too),
-    and j cumsums since the last reduction leave every entry at most
-    (ell - 1) * C(phi - 1 + j, j), so each cumsum multiplies the bound by
-    (phi - 1 + j) / j <= phi.  The whole array is reduced mod ell only
-    before a cumsum that could pass 2^62: every 10 steps at (2, 9),
-    phi = 256, every 8 at (3, 6), phi = 486 and at (5, 4), phi = 500,
-    and never at (2, 6), phi = 32, where phi steps stay below 2^62.
+    The search costs a fixed number of numpy passes whatever the orders.
+    Write phi = t * ell^b with t = ell - 1 (1 at level 0 or ell = 2).
+    Over F_ell, X^m - 1 = (X - 1)^m for m = ell^a, so the fold
+    g = f mod (X^m - 1), the row summed over its blocks of width m, has
+    order r when r < m and is 0 exactly when r >= m.  Pass 1 folds every
+    row to width m = ell^ceil(b/2), about sqrt(phi), and takes the Taylor
+    shift of g digit by digit (Lucas: one ell x ell Pascal transform mod
+    ell per base-ell digit of the index); pass 2 takes the full shift,
+    b digits of ell and the top digit of size t, of the few rows whose
+    fold vanished.
     """
-    phi = rows.shape[1]
-    ords = np.zeros(len(rows), dtype=np.int64)
-    low = (rows % ell).astype(np.int64, copy=False)
+    n_rows, phi = rows.shape
+    ords = np.zeros(n_rows, dtype=np.int64)
+    low = _residues(rows, ell)
     idx = np.flatnonzero(~low.any(axis=1))
     high = rows[idx]
     if not (high != 0).any(axis=1).all():
         raise ValueError("the zero element has infinite valuation")
     while idx.size:  # strip the ell-content of the rows divisible by ell
-        high = high // ell
+        high //= ell
         ords[idx] += phi
-        low[idx] = high % ell
-        done = low[idx].any(axis=1)
+        part = low[idx] = _residues(high, ell)
+        done = part.any(axis=1)
         idx, high = idx[~done], high[~done]
-    # the remainder is the last column mod ell; a kept row ends in that 0
-    # mod ell, so after the next cumsum the last column is again the remainder
-    idx = np.arange(len(rows))
-    steps = 0  # cumsums since low was last reduced mod ell
-    while idx.size:
-        if (ell - 1) * comb(phi + steps, steps + 1) > 2**62:
-            np.remainder(low, ell, out=low)
-            steps = 0
-        np.cumsum(low, axis=1, out=low)
-        steps += 1
-        keep = low[:, -1] % ell == 0
-        if not keep.all():
-            idx, low = idx[keep], low[keep]
-        ords[idx] += 1
+    b, top = 0, phi
+    while top % ell == 0:
+        b, top = b + 1, top // ell
+    a = (b + 1) // 2
+    m = ell**a
+    fold = _residues(low.reshape(n_rows, phi // m, m).sum(axis=1), ell)
+    first, found = _first_taylor_coefficient(fold, ell, [ell] * a)
+    ords += first
+    rest = np.flatnonzero(~found)
+    if rest.size:
+        ords[rest] += _first_taylor_coefficient(low[rest], ell, [ell] * b + [top])[0]
     return ords
 
 

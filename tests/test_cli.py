@@ -218,3 +218,21 @@ def test_reproduce_tables_success():
             got[name].append(int(match.group(1)))
     assert got == {name: table[:3] for name, table in TABLES.items()}
     assert re.fullmatch(r"grand total \d+\.\d\ds", result.stdout.splitlines()[-1])
+
+
+def test_level_curve_stops_after_level_one_at_zero_seconds():
+    # level 1's orbit orders sum to TABLES[name][0] + d: kappa_X is prime to ell
+    script = FIXTURES.parent / "scripts" / "level_curve.py"
+    result = subprocess.run([sys.executable, str(script), "--seconds", "0"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    header, *lines = result.stdout.splitlines()
+    assert header == "fixture,level,orbits,sum_of_orders,seconds"
+    rows = [line.split(",") for line in lines]
+    assert {name: (int(k), int(orbits), int(total)) for name, k, orbits, total, _ in rows} == {
+        "bouquet2_ell2": (1, 3, 7),
+        "bouquet2_ell3": (1, 4, 8),
+        "bouquet3_ell3": (1, 4, 12),
+        "bouquet4_ell2_parallel": (1, 3, 10),
+        "bouquet4_ell2_skew": (1, 3, 7),
+    }
+    assert all(float(seconds) > 0 for *_, seconds in rows)

@@ -190,9 +190,9 @@ def _high_order_element(rng, ell, level, c, r):
 
 @pytest.mark.parametrize("ell, level", [(2, 9), (3, 6), (5, 4)])
 def test_pi_adic_ords_lazy_reduction_at_wide_levels(ell, level):
-    # phi = 256, 486 and 500: orders up to phi - 1 take hundreds of division
-    # steps, so the lazily reduced residues are reduced mod ell many times;
-    # rows of one batch drop out at different steps
+    # phi = 256, 486 and 500: orders up to phi - 1 lie far past the fold
+    # width, so the full Taylor shift of pass 2 runs on some rows of a
+    # batch while pass 1 settles the others
     rng = random.Random(ell * 100 + level)
     phi = phi_ell_power(ell, level)
     cases = [(0, phi - 1), (1, phi - 2), (2, 0), (0, 1)]
@@ -205,6 +205,37 @@ def test_pi_adic_ords_lazy_reduction_at_wide_levels(ell, level):
     rows.append(_high_order_element(rng, ell, level, 62, phi // 2 + 3))
     want.append(62 * phi + phi // 2 + 3)
     assert pi_adic_ords(np.array(rows, dtype=object), ell).tolist() == want
+
+
+def _fold_edges(ell, level):
+    """Orders at the edges of pi_adic_ords' search: the fold width
+    m = ell^ceil(b/2), the digit block ell^b of phi = t * ell^b, and phi."""
+    phi = phi_ell_power(ell, level)
+    b = 0
+    while phi % ell ** (b + 1) == 0:
+        b += 1
+    m = ell ** ((b + 1) // 2)
+    return sorted({r for r in (0, 1, m - 1, m, m + 1, ell**b - 1, ell**b, phi - 1) if 0 <= r < phi})
+
+
+@pytest.mark.parametrize("ell, level", [(2, 1), (3, 1), (2, 8), (3, 5), (5, 3), (7, 3), (11, 2)])
+def test_pi_adic_ords_at_the_fold_and_digit_edges(ell, level):
+    # known answers u * ell^c * prod_s (1 - zeta^(ell^s))^(e_s) at every edge
+    # order, each with content 0, 1 and 2; for odd ell the orders in
+    # [ell^b, phi) need the top digit, of size ell - 1
+    rng = random.Random(ell * 1000 + level)
+    phi = phi_ell_power(ell, level)
+    cases = [(c, r) for r in _fold_edges(ell, level) for c in (0, 1, 2)]
+    rows = [_high_order_element(rng, ell, level, c, r) for c, r in cases]
+    want = [c * phi + r for c, r in cases]
+    assert max(abs(x) for row in rows for x in row) < 2**62
+    assert pi_adic_ords(np.array(rows, dtype=np.int64), ell).tolist() == want
+    # one row past 2^62 makes the batch Python integers, through the same code
+    rows.append(_high_order_element(rng, ell, level, 62, phi - 1))
+    want.append(62 * phi + phi - 1)
+    assert pi_adic_ords(np.array(rows, dtype=object), ell).tolist() == want
+    for dtype in (np.int64, object):
+        assert pi_adic_ords(np.zeros((0, phi), dtype=dtype), ell).tolist() == []
 
 
 def test_pi_adic_ords_rejects_a_zero_row():
