@@ -215,30 +215,28 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         earlier = fit_window(seq, (window[0] - 1, window[1] - 1))
         stable = earlier is not None and earlier.coefficients == fit.coefficients
     formula, integral = format_fit(fit), leading_coefficients_integral(fit)
-    if args.format == "json":
-        doc = {
-            "ell": spec.ell,
-            "d": spec.d,
-            "formula": formula,
-            "coefficients": {_monomial_label(k, j): str(c) for (k, j), c in fit.coefficients.items()},
-            "window": list(fit.window),
-            "verified_range": list(verified) if verified else None,
+    coefficients = {_monomial_label(k, j): str(c) for (k, j), c in fit.coefficients.items()}
+    rows = _sequence_rows(seq)
+    meta = {
+        "ell": spec.ell,
+        "d": spec.d,
+        "formula": formula,
+        "coefficients": coefficients,
+        "window": list(fit.window),
+        "verified_range": list(verified) if verified else None,
+        "stable": stable,
+        "leading_coefficients_integral": integral,
+    }
+    if args.format == "csv":  # one monomial,coefficient row per coefficient, then the summary
+        summary = {
+            **coefficients,
+            "window": f"{fit.window[0]}..{fit.window[1]}",
+            "verified_range": f"{verified[0]}..{verified[1]}" if verified else "none",
             "stable": stable,
-            "leading_coefficients_integral": integral,
-            "rows": _sequence_rows(seq),
+            "formula": formula,
         }
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["monomial", "coefficient"])
-        for (k, j), c in fit.coefficients.items():
-            writer.writerow([_monomial_label(k, j), str(c)])
-        writer.writerow(["window", f"{fit.window[0]}..{fit.window[1]}"])
-        writer.writerow(["verified_range", f"{verified[0]}..{verified[1]}" if verified else "none"])
-        writer.writerow(["stable", stable])
-        writer.writerow(["formula", formula])
-        _emit(buf.getvalue(), args.out)
+        rows = [{"monomial": name, "coefficient": value} for name, value in summary.items()]
+    _emit(_render_rows(rows, args.format, meta), args.out)
     if stable and not integral:
         print("warning: stable fit with non-integral leading coefficients", file=sys.stderr)
     if residuals and verified is None:

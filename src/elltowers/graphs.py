@@ -8,6 +8,10 @@ fixed-point-free involution satisfying o(e) = t(inv(e)).
 
 This layout keeps vertex and edge ids dense and stable, which the cover
 constructions rely on for deterministic output.
+
+MultiGraph.bfs_tree is the one graph search: validate_base, every layer
+that voltage.derived_graph builds and the tower check in voltage.py read
+connectivity from it, and the tower check its spanning tree too.
 """
 
 from __future__ import annotations
@@ -60,21 +64,26 @@ class MultiGraph:
             val[b] += 1
         return val
 
-    def is_connected(self) -> bool:
+    def bfs_tree(self) -> list[tuple[int, int]]:
+        """Breadth-first search from vertex 0: for each newly reached
+        vertex w, in search order, the directed edge (v, w) that reached
+        it, named by its ends (of parallel edges, the first listed)."""
         adj = [[] for _ in range(self.n_vertices)]
         for a, b in self.edge_pairs:
             adj[a].append(b)
             adj[b].append(a)
         seen = [False] * self.n_vertices
         seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
+        tree = [(0, 0)]  # the root, as reached from itself; the queue is the list's second column
+        for _, v in tree:  # the list grows while it is read
             for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
-                    stack.append(w)
-        return all(seen)
+                    tree.append((v, w))
+        return tree[1:]
+
+    def is_connected(self) -> bool:
+        return len(self.bfs_tree()) == self.n_vertices - 1
 
 
 def build_graph(vertex_count: int, undirected_edge_list) -> MultiGraph:

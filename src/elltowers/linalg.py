@@ -29,11 +29,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+# every base above (Sorenson and Webster, Math. Comp. 2017)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (the 12-base test, exact below 3.3e24)."""
+    """Deterministic Miller-Rabin on the first 13 primes, exact below
+    MR_EXACT_BELOW; larger n raise ValueError."""
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"{n} is not below {MR_EXACT_BELOW}, where primality is exact")
     if n < 2:
         return False
     for p in _MR_BASES:

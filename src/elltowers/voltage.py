@@ -7,6 +7,8 @@ derived-graph construction gives layer n of a tower of abelian covers with
 group (Z/ell^n Z)^d; the whole tower is connected exactly when the cycle
 voltages of the base span (Z/ell Z)^d, which is what the connectivity
 check decides once and for all (generation mod ell lifts to every ell^n).
+It and derived_graph's check of each built layer both read
+MultiGraph.bfs_tree, the package's one graph search.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .graphs import GraphInputError, MultiGraph, build_graph, graph_from_json, graph_to_json
-from .linalg import is_prime
+from .linalg import MR_EXACT_BELOW, is_prime
 
 _DOT_PALETTE = (
     "lightblue",
@@ -68,8 +70,8 @@ class VoltageSpec:
     d: int
 
     def __post_init__(self):
-        if not is_prime(self.ell):
-            raise SpecFormatError(f"ell = {self.ell} is not prime")
+        if not (self.ell < MR_EXACT_BELOW and is_prime(self.ell)):
+            raise SpecFormatError(f"ell = {self.ell} is not a prime below {MR_EXACT_BELOW} (the exact range)")
         if self.d < 1:
             raise SpecFormatError("d must be a positive integer")
         orbits = set()
@@ -108,32 +110,12 @@ def reduce_voltage(spec: VoltageSpec, n: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class ConnectivityReport:
-    ok: bool
     rank: int
     reasons: tuple[str, ...]
 
-
-def _bfs_tree_potentials(spec: VoltageSpec):
-    """BFS spanning tree from vertex 0; returns tree edge set (undirected
-    ids) and the voltage-sum potential of every vertex along tree paths."""
-    g = spec.base
-    adj = [[] for _ in range(g.n_vertices)]
-    for e in range(g.n_directed):
-        adj[g.origin(e)].append(e)
-    pot = [None] * g.n_vertices
-    pot[0] = (0,) * spec.d
-    tree = set()
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for e in adj[v]:
-            w = g.terminus(e)
-            if pot[w] is None:
-                volt = spec.directed_voltage(e)
-                pot[w] = tuple(p + a for p, a in zip(pot[v], volt))
-                tree.add(e >> 1)
-                queue.append(w)
-    return tree, pot
+    @property
+    def ok(self) -> bool:
+        return not self.reasons
 
 
 def _rank_mod_ell(rows, ell, d):
@@ -163,25 +145,26 @@ def check_tower_connectivity(spec: VoltageSpec) -> ConnectivityReport:
     The derived graph at level n is connected iff the cycle voltages of
     the base generate (Z/ell^n Z)^d; by Nakayama it is enough that their
     reductions span (Z/ell Z)^d, so a single mod-ell rank computation
-    settles the whole tower.  The witness is that rank.
+    settles the whole tower.  The witness is that rank.  Potentials are
+    voltage sums along the paths of the base's one search tree; section
+    edge s gives the row pot(o(s)) - pot(t(s)) + alpha(s), zero for a
+    tree edge in either orientation.
     """
-    reasons = []
-    if not spec.base.is_connected():
-        return ConnectivityReport(False, 0, ("base graph is not connected",))
-    tree, pot = _bfs_tree_potentials(spec)
-    cycles = []
-    for idx, s in enumerate(spec.section.edges):
-        if (s >> 1) in tree:
-            continue
-        g = spec.base
-        volt = spec.alpha[idx]
-        o, t = g.origin(s), g.terminus(s)
-        # closed path: s followed by the tree geodesic t -> o
-        cycles.append(tuple(p_o - p_t + a for p_o, p_t, a in zip(pot[o], pot[t], volt)))
-    rank = _rank_mod_ell(cycles, spec.ell, spec.d)
-    if rank != spec.d:
-        reasons.append(f"cycle voltages do not generate mod {spec.ell} (rank {rank} < {spec.d})")
-    return ConnectivityReport(rank == spec.d, rank, tuple(reasons))
+    g = spec.base
+    tree = g.bfs_tree()
+    if len(tree) != g.n_vertices - 1:
+        return ConnectivityReport(0, ("base graph is not connected",))
+    ends = [(g.origin(s), g.terminus(s)) for s in spec.section.edges]
+    step = {}  # (v, w) -> voltage of one edge from v to w; any one gives a spanning tree
+    for (o, t), volt in zip(ends, spec.alpha):
+        step[o, t], step[t, o] = volt, tuple(-a for a in volt)
+    pot = [(0,) * spec.d] * g.n_vertices
+    for v, w in tree:
+        pot[w] = tuple(p + a for p, a in zip(pot[v], step[v, w]))
+    rows = [tuple(p - q + a for p, q, a in zip(pot[o], pot[t], volt)) for (o, t), volt in zip(ends, spec.alpha)]
+    rank = _rank_mod_ell(rows, spec.ell, spec.d)
+    reason = f"cycle voltages do not generate mod {spec.ell} (rank {rank} < {spec.d})"
+    return ConnectivityReport(rank, () if rank == spec.d else (reason,))
 
 
 # derived graphs ---------------------------------------------------------------

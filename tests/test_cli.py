@@ -47,6 +47,21 @@ def test_validate_reports_disconnected_base_once(tmp_path):
     assert [line for line in fails if "connected" in line] == ["FAIL: graph is not connected"]
 
 
+@pytest.mark.parametrize(
+    "ell",
+    [318665857834031151167461, 3317044064679887385961981],
+    ids=["psi12_composite", "psi13_past_exact_bound"],
+)
+def test_validate_refuses_pseudoprime_ell(tmp_path, ell):
+    doc = {"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, "ell": ell, "d": 1, "alpha": [[1], [0]]}
+    path = tmp_path / "pseudoprime.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("validate", "--spec", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: ell = {ell} ")
+    assert result.stdout == ""
+
+
 def test_malformed_json_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     for content in (b"{not json", b'{"ell": "\xff"}'):

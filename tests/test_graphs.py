@@ -46,6 +46,13 @@ def test_empty_edge_set_rejected():
         build_graph(3, [])
 
 
+def test_bfs_tree_lists_reaching_edges_in_search_order():
+    g = build_graph(4, [(2, 1), (1, 0), (0, 1), (3, 3), (2, 0)])
+    assert g.bfs_tree() == [(0, 1), (0, 2)]
+    assert not g.is_connected()
+    assert build_graph(4, [(2, 1), (3, 1), (0, 1)]).bfs_tree() == [(0, 1), (1, 2), (1, 3)]
+
+
 def test_validate_bouquet_passes():
     report = validate_base(BOUQUET2)
     assert report.ok

@@ -369,6 +369,23 @@ def test_envelope_follows_its_rule(kind, seed):
         assert (rows_to.tolist(), cols_to.tolist(), height, shape) == envelope_reference(case)
 
 
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
+PSI_13 = 3317044064679887385961981  # ... to the bases 2..41
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_bases_up_to_37():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not linalg.is_prime(PSI_12)
+    assert linalg.is_prime(399165290221) and linalg.is_prime(798330580441)
+
+
+def test_is_prime_refuses_numbers_past_its_exact_bound():
+    assert PSI_13 == 1287836182261 * 2575672364521 == linalg.MR_EXACT_BELOW
+    assert linalg.is_prime(1287836182261) and linalg.is_prime(2575672364521)
+    with pytest.raises(ValueError, match="where primality is exact"):
+        linalg.is_prime(PSI_13)
+
+
 def guard_admits(height, p):
     """Lazy reduction: an entry below 2^25 that absorbs height products
     below (p - 1)^2 stays below 2^62."""

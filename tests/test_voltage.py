@@ -9,6 +9,7 @@ from elltowers.graphs import build_graph
 from elltowers.voltage import (
     BudgetExceededError,
     DisconnectedCoverError,
+    Section,
     SpecFormatError,
     VoltageSpec,
     check_tower_connectivity,
@@ -107,6 +108,42 @@ def test_connectivity_matches_bfs_on_small_layers():
                 assert predicted
 
 
+@st.composite
+def small_voltage_specs(draw):
+    """Bases of 1-6 vertices with loops and parallel edges, connected or
+    not, each section edge in a random orientation."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    pairs = []
+    if draw(st.booleans()):  # a spanning tree first: most random bases are disconnected
+        pairs = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    pairs += draw(st.lists(st.tuples(vertex, vertex), min_size=0 if pairs else 1, max_size=6))
+    ell = draw(st.sampled_from((2, 3, 5)))
+    d = draw(st.integers(1, 3))
+    g = build_graph(n, pairs)
+    section = Section(tuple(2 * j + draw(st.integers(0, 1)) for j in range(g.n_undirected)))
+    alpha = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=g.n_undirected, max_size=g.n_undirected))
+    return VoltageSpec(g, section, tuple(alpha), ell, d)
+
+
+def layer_is_connected(spec, n):
+    try:
+        derived_graph(spec, n)
+    except DisconnectedCoverError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_voltage_specs())
+def test_connectivity_matches_layer_search_on_multi_vertex_bases(spec):
+    # the rank decides every layer at once; derived_graph searches one layer
+    predicted = check_tower_connectivity(spec).ok
+    assert layer_is_connected(spec, 1) == predicted
+    if spec.base.n_vertices * spec.ell ** (2 * spec.d) <= 500:
+        assert layer_is_connected(spec, 2) == predicted
+
+
 def test_disconnected_layer_raises_by_default():
     g = build_graph(1, [(0, 0), (0, 0)])
     bad = VoltageSpec(g, default_section(g), ((2, 0), (0, 1)), 2, 2)
@@ -180,8 +217,6 @@ def test_section_choice_is_invisible():
     flipped_edges = tuple(
         (e ^ 1) if i % 2 else e for i, e in enumerate(default_section(g).edges)
     )
-    from elltowers.voltage import Section
-
     flipped = VoltageSpec(
         g,
         Section(flipped_edges),
