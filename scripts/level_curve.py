@@ -43,7 +43,11 @@ def main():
     )
     parser.add_argument("fixtures", nargs="*", help="fixture names (default: every file in fixtures/)")
     args = parser.parse_args()
-    names = args.fixtures or sorted(path.stem for path in FIXTURES.glob("*.json"))
+    known = sorted(path.stem for path in FIXTURES.glob("*.json"))
+    names = args.fixtures or known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(f"unknown fixture {', '.join(unknown)} (known: {', '.join(known)})")
     print("fixture,level,orbits,sum_of_orders,seconds")
     for name in names:
         with open(FIXTURES / f"{name}.json", "r", encoding="utf-8") as fh:

@@ -195,10 +195,15 @@ def _first_taylor_coefficient(x: np.ndarray, ell: int, sizes) -> tuple[np.ndarra
     c_j = sum_e C(e, j) x_e mod ell, is nonzero, and whether there is one.
     The column index is a mixed-radix number with digit sizes `sizes`
     (lowest first, each at most ell), so by Lucas the transform is one
-    Pascal matrix mod ell per digit axis, applied in place; entries stay
-    below ell^3 between reductions."""
-    stride = 1
+    Pascal matrix mod ell per digit axis, applied in place.  A digit
+    multiplies the entries' bound by at most ell^2, so they are reduced mod
+    ell only when the next digit could pass 2^62: at ell = 2 never before
+    the end."""
+    stride, bound = 1, ell
     for s in sizes:
+        if bound >= 2**62 // ell**2:
+            x, bound = _residues(x, ell), ell
+        bound *= ell**2
         v = x.reshape(-1, s, stride)
         row = [1]
         for e in range(1, s):  # column e is read before any update writes it
@@ -206,10 +211,21 @@ def _first_taylor_coefficient(x: np.ndarray, ell: int, sizes) -> tuple[np.ndarra
             for j, c in enumerate(row[:e]):
                 if c:
                     v[:, j] += v[:, e] if c == 1 else c * v[:, e]
-        x = _residues(x, ell)
         stride *= s
-    nonzero = x != 0
+    nonzero = _residues(x, ell) != 0
     return nonzero.argmax(axis=1), nonzero.any(axis=1)
+
+
+def fold_ords(fold: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pass 1 of pi_adic_ords: per row g of a fold of width m = ell^a
+    (integers, read mod ell), the order of g mod ell at X = 1 when it is
+    below m, and whether it is (False exactly when g = 0 mod ell).  Over
+    F_ell, X^m - 1 = (X - 1)^m, so a row f folded mod X^m - 1 has f's
+    order r when r < m and is 0 exactly when r >= m."""
+    a = 0
+    while ell**a < fold.shape[1]:
+        a += 1
+    return _first_taylor_coefficient(_residues(fold, ell), ell, [ell] * a)
 
 
 def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
@@ -228,14 +244,12 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
 
     The search costs a fixed number of numpy passes whatever the orders.
     Write phi = t * ell^b with t = ell - 1 (1 at level 0 or ell = 2).
-    Over F_ell, X^m - 1 = (X - 1)^m for m = ell^a, so the fold
-    g = f mod (X^m - 1), the row summed over its blocks of width m, has
-    order r when r < m and is 0 exactly when r >= m.  Pass 1 folds every
-    row to width m = ell^ceil(b/2), about sqrt(phi), and takes the Taylor
-    shift of g digit by digit (Lucas: one ell x ell Pascal transform mod
-    ell per base-ell digit of the index); pass 2 takes the full shift,
-    b digits of ell and the top digit of size t, of the few rows whose
-    fold vanished.
+    Pass 1 (fold_ords) folds every row mod X^m - 1, summing it over its
+    blocks of width m = ell^ceil(b/2), about sqrt(phi), and takes the
+    Taylor shift of the fold digit by digit (Lucas: one ell x ell Pascal
+    transform mod ell per base-ell digit of the index); pass 2 takes the
+    full shift, b digits of ell and the top digit of size t, of the few
+    rows whose fold vanished.
     """
     n_rows, phi = rows.shape
     ords = np.zeros(n_rows, dtype=np.int64)
@@ -255,8 +269,7 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
         b, top = b + 1, top // ell
     a = (b + 1) // 2
     m = ell**a
-    fold = _residues(low.reshape(n_rows, phi // m, m).sum(axis=1), ell)
-    first, found = _first_taylor_coefficient(fold, ell, [ell] * a)
+    first, found = fold_ords(low.reshape(n_rows, phi // m, m).sum(axis=1), ell)
     ords += first
     rest = np.flatnonzero(~found)
     if rest.size:

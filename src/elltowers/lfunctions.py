@@ -31,24 +31,31 @@ The tree-number identity used everywhere downstream:
 so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum of the per-orbit
 pi-adic orders (exact, no norms needed; full integers come on demand via
 resultants).  Each level is evaluated in one place,
-TowerCalculator._level_pass: the values of a block of its orbit
-representatives are rows of one integer array (series.character_values)
-and their orders come from one pi_adic_ords call, in chunks of at most
-about _CHUNK_ENTRIES work entries so memory stays flat as the level grows.
-level_ords, level_norms and orbit_records read that pass and nothing else;
-the only cache is TowerCalculator's per-level orders and norms.
+TowerCalculator._level_pass, fold first.  Since Phi_(ell^k) = (X - 1)^phi
+mod ell, a value's power-basis row folded mod X^w - 1 and mod ell, w about
+sqrt(phi), is P's coefficients mod ell placed at the exponents a.e mod w,
+so the orders come from a (representatives x w) array; only the rows
+whose fold vanishes get full value rows (series.character_values) for
+pi_adic_ords.  Full rows of every representative are built only where
+values are read: norms and orbit records.  Every pass runs in chunks of at
+most about _CHUNK_ENTRIES entries, so memory stays flat as the level
+grows.  level_ords, level_norms and orbit_records read that pass and
+nothing else; the only cache is TowerCalculator's per-level orders and
+norms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import (  # noqa: F401  (pi_adic_ord: perfbench/tracer.py looks it up here)
     CycInt,
+    fold_ords,
     norm_to_int,
     phi_ell_power,
     pi_adic_ord,
@@ -136,13 +143,14 @@ def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _character_orbits(ell: int, n: int, reps: np.ndarray, levels: np.ndarray) -> list[CharacterOrbit]:
-    """CharacterOrbits for _orbit_reps' rows, whose tuples are zipped from
-    the columns (no list per row is held alongside them)."""
-    sizes = {k: (ell**k, phi_ell_power(ell, k)) for k in range(1, n + 1)}
-    return [
-        CharacterOrbit(ell, n, CharacterIndex(n, v), *sizes[k])
-        for v, k in zip(zip(*reps.T.tolist()), levels.tolist())
-    ]
+    """CharacterOrbits for _orbit_reps' rows, made by _make over the zipped
+    columns (no list per row is held alongside them); the exact order and
+    orbit size of each row are looked up by its level."""
+    order = np.array([ell**k for k in range(n + 1)], dtype=object)
+    size = np.array([phi_ell_power(ell, k) for k in range(n + 1)], dtype=object)
+    index = map(CharacterIndex, repeat(n), zip(*reps.T.tolist()))
+    columns = (repeat(ell), repeat(n), index, order[levels].tolist(), size[levels].tolist())
+    return list(map(CharacterOrbit._make, zip(*columns)))
 
 
 def enumerate_orbits(ell: int, n: int, d: int) -> list[CharacterOrbit]:
@@ -161,8 +169,9 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
 
     The orbits are enumerated once (_orbit_reps).  An orbit of exact order
     ell^k takes its value at level k (degree phi(ell^k), not phi(ell^n)),
-    whose norm equals the orbit product, and the value and its order come
-    from one character_values and pi_adic_ords pass per level.  A positive
+    whose norm equals the orbit product; the orders and the value rows come
+    from one TowerCalculator._level_pass per level, and each norm is
+    checked against its order.  A positive
     digit limit skips integer values whose predicted size (phi * log10 of
     the coefficient 1-norm, an upper bound) exceeds it; orders stay exact.
     The spec goes through TowerCalculator, so an inadmissible base or a
@@ -174,11 +183,11 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     orbits = iter(_character_orbits(ell, n, reps, levels))
     out = []
     for k in range(1, n + 1):
-        for rows, ords in calc._level_pass(k, reps[levels == k] // ell ** (n - k)):
-            for row, order in zip(rows.tolist(), ords):
-                value = CycInt(ell, k, row)
-                skip = 0 < digit_limit < _digit_bound(value)
-                out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
+        ords, rows = calc._level_pass(k, reps[levels == k] // ell ** (n - k))
+        for row, order in zip(rows, ords):
+            value = CycInt(ell, k, row)
+            skip = 0 < digit_limit < _digit_bound(value)
+            out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
     return out
 
 
@@ -198,8 +207,9 @@ def _digit_bound(value: CycInt) -> int:
 # the tower calculator ----------------------------------------------------------
 
 
-# entries of one chunk of a level's (representatives x ell^k) work array:
-# bounds the memory of one batched pass whatever the level
+# entries of one chunk of a level's (representatives x ell^k) value rows or
+# (representatives x w) folds: bounds the memory of one batched pass
+# whatever the level
 _CHUNK_ENTRIES = 2**17
 
 
@@ -211,8 +221,8 @@ class TowerCalculator:
     per level, not one per layer; this is the package's only cache.  Every
     value is a specialization of the characteristic polynomial P, built on
     first use.  A level is evaluated by one pass (_level_pass) that gives
-    each chunk's value rows and pi-adic orders together, so level_norms
-    checks every norm against the order from its own pass.
+    its pi-adic orders from the fold of P's exponents and, when read, its
+    value rows, so level_norms checks every norm against that order.
     """
 
     def __init__(self, spec: VoltageSpec):
@@ -238,37 +248,65 @@ class TowerCalculator:
         return self._base
 
     def _level_pass(self, k: int, reps: np.ndarray | None = None):
-        """(power-basis value rows, pi-adic orders) of the exact-level-k
-        representatives reps (default: the level-k block of _orbit_reps), by
-        chunks of at most about _CHUNK_ENTRIES work entries."""
-        ell = self.spec.ell
+        """(pi-adic orders, power-basis value rows) of the exact-level-k
+        representatives reps (default: the level-k block of _orbit_reps).
+
+        Orders come from a fold of P's exponents first.  With ell^mu the
+        content of P, character_values(width=w) gives each value of
+        P / ell^mu folded mod X^w - 1 and mod ell, w = ell^floor(k/2) the
+        width of pi_adic_ords' pass 1, in chunks of _CHUNK_ENTRIES // w
+        rows (or fewer, when P has more than w terms to place).  Where the
+        fold is nonzero the order is mu * phi (ell is pi^phi times a unit)
+        plus the fold's order (fold_ords).  The open
+        rows, whose fold vanishes, take their full values through
+        pi_adic_ords, in chunks of _CHUNK_ENTRIES // ell^k rows.  The value
+        rows are an iterator of lists, built in chunks of that size only as
+        they are read.
+        """
+        ell, poly = self.spec.ell, self.poly
         if reps is None:
             reps, levels = _orbit_reps(ell, k, self.spec.d)
             reps = reps[levels == k]
-        step = max(1, _CHUNK_ENTRIES // ell**k)
+        mu = min((ord_prime(abs(c), ell) for c in poly.terms.values()), default=0)
+        primitive = LaurentPoly({e: c // ell**mu for e, c in poly.terms.items()})
+        w = ell ** (k // 2)
+        ords = np.empty(len(reps), dtype=np.int64)
+        found = np.empty(len(reps), dtype=bool)
+        step = max(1, _CHUNK_ENTRIES // max(w, len(poly.terms)))
         for i in range(0, len(reps), step):
-            rows = character_values(self.poly, ell, k, reps[i : i + step])
-            yield rows, pi_adic_ords(rows, ell).tolist()
+            fold = character_values(primitive, ell, k, reps[i : i + step], width=w)
+            ords[i : i + step], found[i : i + step] = fold_ords(fold, ell)
+        ords += mu * phi_ell_power(ell, k)
+        step = max(1, _CHUNK_ENTRIES // ell**k)
+        rest = np.flatnonzero(~found)
+        for i in range(0, len(rest), step):
+            part = rest[i : i + step]
+            ords[part] = pi_adic_ords(character_values(poly, ell, k, reps[part]), ell)
+
+        def rows():
+            for i in range(0, len(reps), step):
+                yield from character_values(poly, ell, k, reps[i : i + step]).tolist()
+
+        return tuple(ords.tolist()), rows()
 
     def level_ords(self, k: int) -> tuple[int, ...]:
         """pi-adic orders of all exact-level-k orbit values, in representative order."""
         got = self._level_ords.get(k)
         if got is None:
-            got = self._level_ords[k] = tuple(o for _, ords in self._level_pass(k) for o in ords)
+            got = self._level_ords[k] = self._level_pass(k)[0]
         return got
 
     def level_norms(self, k: int) -> tuple[int, ...]:
         """Norms of the exact-level-k orbit values, each checked against
-        the pi-adic order from the same pass; that pass's orders are kept
+        its pi-adic order from the same pass; that pass's orders are kept
         as level k's orders too."""
         got = self._level_norms.get(k)
         if got is None:
-            ell, norms, orders = self.spec.ell, [], []
-            for rows, ords in self._level_pass(k):
-                norms += (_checked_norm(CycInt(ell, k, row), o) for row, o in zip(rows.tolist(), ords))
-                orders += ords
-            self._level_ords[k] = tuple(orders)
-            got = self._level_norms[k] = tuple(norms)
+            ords, rows = self._level_pass(k)
+            self._level_ords[k] = ords
+            got = self._level_norms[k] = tuple(
+                _checked_norm(CycInt(self.spec.ell, k, row), o) for row, o in zip(rows, ords)
+            )
         return got
 
     def ord_valuation(self, n: int) -> int:

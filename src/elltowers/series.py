@@ -81,7 +81,7 @@ def char_poly(spec: VoltageSpec) -> LaurentPoly:
     return det_in_ring([[LaurentPoly(entry) for entry in row] for row in rows])
 
 
-def character_values(poly: LaurentPoly, ell: int, level: int, avecs) -> np.ndarray:
+def character_values(poly: LaurentPoly, ell: int, level: int, avecs, width: int | None = None) -> np.ndarray:
     """P(zeta^(a_1), ..., zeta^(a_d)) for each index vector a in avecs, with
     zeta a primitive ell^level-th root of unity: one row of power-basis
     coefficients per vector, built without any ring multiplications.
@@ -98,6 +98,12 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs) -> np.ndarr
     otherwise Python integers (dtype=object), through the same code.
     An index vector with other than d entries, for P in d variables, is
     refused with a ValueError.
+
+    A width w dividing s gives each row folded mod X^w - 1 and mod ell
+    instead, w columns wide: the terms are placed at column a.e mod w and
+    nothing is folded down, since the ell - 1 powers replacing zeta^x are
+    all = x mod w and -(ell - 1) c = c mod ell.  The entries are the
+    placed sums, to be read mod ell.
     """
     m = ell**level
     phi = phi_ell_power(ell, level)
@@ -108,10 +114,13 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs) -> np.ndarr
         raise ValueError(f"index vectors must have {d} entries, the tower rank")
     a = (a % m).astype(np.int64)
     exps = (np.array(list(poly.terms), dtype=object).reshape(-1, a.shape[1]) % m).astype(np.int64)
-    targets = a @ exps.T % m
-    work = np.zeros((len(a), m), dtype=dtype)
+    cols = width or m
+    targets = a @ exps.T % cols
+    work = np.zeros((len(a), cols), dtype=dtype)
     coeffs = np.array(list(poly.terms.values()), dtype=dtype)
     np.add.at(work, (np.arange(len(a))[:, None], targets), coeffs)
+    if width:
+        return work
     s = m // ell
     for j in range(ell - 1):
         work[:, j * s : (j + 1) * s] -= work[:, phi:]

@@ -251,3 +251,15 @@ def test_level_curve_stops_after_level_one_at_zero_seconds():
         "bouquet4_ell2_skew": (1, 3, 7),
     }
     assert all(float(seconds) > 0 for *_, seconds in rows)
+
+
+@pytest.mark.parametrize("name", ["nonexistent", "bouquet2_ell2.json"])
+def test_level_curve_rejects_unknown_fixture(name):
+    # names are checked before the header is printed
+    script = FIXTURES.parent / "scripts" / "level_curve.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--seconds", "0", "bouquet2_ell2", name], capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert "error:" in result.stderr and name in result.stderr
+    assert result.stdout == ""

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elltowers import lfunctions
-from elltowers.cyclotomic import CycInt, norm_to_int, phi_ell_power
+from elltowers.cyclotomic import CycInt, norm_to_int, phi_ell_power, pi_adic_ords
 from elltowers.fit import valuation_sequence
-from elltowers.graphs import build_graph
+from elltowers.graphs import build_graph, validate_base
 from elltowers.lfunctions import (
     CharacterIndex,
     TowerCalculator,
@@ -19,9 +19,15 @@ from elltowers.lfunctions import (
 )
 from elltowers.series import LaurentPoly, char_poly, character_values
 from elltowers.treecount import kappa_matrix_tree, ord_prime
-from elltowers.voltage import DisconnectedCoverError, VoltageSpec, default_section, derived_graph
+from elltowers.voltage import (
+    DisconnectedCoverError,
+    VoltageSpec,
+    check_tower_connectivity,
+    default_section,
+    derived_graph,
+)
 
-from conftest import fixture_spec, random_connected_spec
+from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec, random_validated_graph
 from oracles import l_value_at_one, matrices, twisted_adjacency
 
 E1 = fixture_spec("bouquet2_ell2")
@@ -244,42 +250,119 @@ def test_orbits_stay_exact_past_int64(ell, n):
 
 
 def test_orbit_records_enumerate_once(monkeypatch):
-    # one enumeration per call, and one value pass per level (each level
-    # here fits in one chunk)
-    calls = {"reps": 0, "values": 0}
+    # one enumeration per call; per level one fold pass for the orders and
+    # one value pass for the records, plus one for the open rows when the
+    # level has any (each level here fits in one chunk)
+    reps_calls, folds, values = [], [], []
+    reps_fn, values_fn = lfunctions._orbit_reps, lfunctions.character_values
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted_reps(*args):
+        reps_calls.append(args)
+        return reps_fn(*args)
 
-        return wrapper
+    def counted_values(poly, ell, level, avecs, width=None):
+        (folds if width else values).append(level)
+        return values_fn(poly, ell, level, avecs, width)
 
-    monkeypatch.setattr(lfunctions, "_orbit_reps", counted("reps", lfunctions._orbit_reps))
-    monkeypatch.setattr(lfunctions, "character_values", counted("values", lfunctions.character_values))
+    monkeypatch.setattr(lfunctions, "_orbit_reps", counted_reps)
+    monkeypatch.setattr(lfunctions, "character_values", counted_values)
     records = orbit_records(E1, 4)
-    assert calls == {"reps": 1, "values": 4}
+    assert len(reps_calls) == 1
+    assert folds == [1, 2, 3, 4]
+    assert sorted(set(values)) == [1, 2, 3, 4] and all(values.count(k) <= 2 for k in values)
     assert [r.orbit for r in records] == enumerate_orbits(2, 4, 2)
 
 
 def test_kappa_exact_evaluates_each_level_once(monkeypatch):
-    # a cold kappa_exact reads norms and their orders off one value pass
-    # per level (each level here fits in one chunk)
-    levels = []
-    values = lfunctions.character_values
+    # a cold kappa_exact reads orders off one fold pass per level, and
+    # norms off one value pass plus the open rows' (each level here fits
+    # in one chunk)
+    folds, values = [], []
+    values_fn = lfunctions.character_values
 
-    def counted(poly, ell, level, avecs):
-        levels.append(level)
-        return values(poly, ell, level, avecs)
+    def counted(poly, ell, level, avecs, width=None):
+        (folds if width else values).append(level)
+        return values_fn(poly, ell, level, avecs, width)
 
     monkeypatch.setattr(lfunctions, "character_values", counted)
     assert TowerCalculator(E1).kappa_exact(4) == kappa_matrix_tree(derived_graph(E1, 4).graph).kappa
-    assert levels == [1, 2, 3, 4]
+    assert folds == [1, 2, 3, 4]
+    assert sorted(set(values)) == [1, 2, 3, 4] and all(values.count(k) <= 2 for k in values)
     # a table cross-checks layers 1..5 within the default budget and reads
-    # the orders of layers 6 and 7 alone: still one pass per level
-    levels.clear()
+    # the orders of layers 6 and 7 alone: still one fold pass per level
+    folds.clear()
     valuation_sequence(E1, 7)
-    assert levels == [1, 2, 3, 4, 5, 6, 7]
+    assert folds == [1, 2, 3, 4, 5, 6, 7]
+
+
+def _full_row_ords(calc, k, reps):
+    """Orders of the level-k values of reps from their full power-basis
+    rows (pi_adic_ords on character_values), a few hundred rows at a time."""
+    ell = calc.spec.ell
+    return tuple(
+        o
+        for i in range(0, len(reps), 256)
+        for o in pi_adic_ords(character_values(calc.poly, ell, k, reps[i : i + 256]), ell).tolist()
+    )
+
+
+def _drawn_spec(rng, ell, d, copies):
+    """A tower over a base of 1-4 vertices with voltages in [-5, 5]^d; with
+    copies = ell every edge is repeated ell times with its voltage, so D - A_x
+    is ell times the drawn one and P has ell-content at least the vertex count."""
+    while True:
+        g = random_validated_graph(rng, 4)
+        alpha = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(g.n_undirected)]
+        g = build_graph(g.n_vertices, [pair for pair in g.edge_pairs for _ in range(copies)])
+        alpha = tuple(a for a in alpha for _ in range(copies))
+        spec = VoltageSpec(g, default_section(g), alpha, ell, d)
+        if validate_base(g).ok and check_tower_connectivity(spec).ok:
+            return spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from((2, 3, 5)),
+    st.sampled_from((1, 2, 3)),
+    st.booleans(),
+)
+def test_level_ords_match_full_rows(seed, ell, d, content):
+    # the fold of P's exponents gives the orders of the full power-basis
+    # rows, row by row, with and without ell-content in P
+    spec = _drawn_spec(random.Random(seed), ell, d, ell if content else 1)
+    calc = TowerCalculator(spec)
+    if content:
+        assert all(c % ell == 0 for c in calc.poly.terms.values())
+    for k in range(1, 7):
+        reps = _level_block(ell, k, d)
+        if len(reps) * ell**k > 20000:
+            break
+        assert calc.level_ords(k) == _full_row_ords(calc, k, reps), k
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_level_ords_match_full_rows_to_frozen_depth(all_fixture_specs, name):
+    spec = all_fixture_specs[name]
+    calc = TowerCalculator(spec)
+    for k in range(1, {2: 10, 3: 7}[spec.ell] + 1):
+        assert calc.level_ords(k) == _full_row_ords(calc, k, _level_block(spec.ell, k, spec.d)), k
+
+
+def test_level_ords_build_few_full_rows(monkeypatch):
+    # only the rows whose fold vanishes get full values: at most 1/16 of
+    # the 1,536 orbits of bouquet2_ell2's level 10
+    full = []
+    values_fn = lfunctions.character_values
+
+    def counted(poly, ell, level, avecs, width=None):
+        if not width:
+            full.append(len(avecs))
+        return values_fn(poly, ell, level, avecs, width)
+
+    monkeypatch.setattr(lfunctions, "character_values", counted)
+    assert len(TowerCalculator(E1).level_ords(10)) == 1536
+    assert sum(full) <= 1536 // 16
 
 
 def test_orbit_records_are_immutable_hashable_and_picklable():
