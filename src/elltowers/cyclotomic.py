@@ -217,11 +217,12 @@ def _first_taylor_coefficient(x: np.ndarray, ell: int, sizes) -> tuple[np.ndarra
 
 
 def fold_ords(fold: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pass 1 of pi_adic_ords: per row g of a fold of width m = ell^a
-    (integers, read mod ell), the order of g mod ell at X = 1 when it is
-    below m, and whether it is (False exactly when g = 0 mod ell).  Over
-    F_ell, X^m - 1 = (X - 1)^m, so a row f folded mod X^m - 1 has f's
-    order r when r < m and is 0 exactly when r >= m."""
+    """Per row g of a fold of width m = ell^a (integers, read mod ell),
+    the order of g mod ell at X = 1 when it is below m, and whether it is
+    (False exactly when g = 0 mod ell).  Over F_ell, X^m - 1 = (X - 1)^m,
+    so a row f folded mod X^m - 1 has f's order r when r < m and is 0
+    exactly when r >= m.  The Taylor shift goes digit by digit (Lucas: one
+    ell x ell Pascal transform mod ell per base-ell digit of the index)."""
     a = 0
     while ell**a < fold.shape[1]:
         a += 1
@@ -242,14 +243,11 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
     the plain ell-adic valuation of an integer.  A zero row raises
     ValueError.
 
-    The search costs a fixed number of numpy passes whatever the orders.
-    Write phi = t * ell^b with t = ell - 1 (1 at level 0 or ell = 2).
-    Pass 1 (fold_ords) folds every row mod X^m - 1, summing it over its
-    blocks of width m = ell^ceil(b/2), about sqrt(phi), and takes the
-    Taylor shift of the fold digit by digit (Lucas: one ell x ell Pascal
-    transform mod ell per base-ell digit of the index); pass 2 takes the
-    full shift, b digits of ell and the top digit of size t, of the few
-    rows whose fold vanished.
+    The search costs a fixed number of numpy passes whatever the orders:
+    after the content is stripped, one Taylor shift of the rows mod ell,
+    digit by digit (Lucas: one Pascal transform mod ell per digit of the
+    index), over the b digits of ell and the top digit of size t, where
+    phi = t * ell^b with t = ell - 1 (1 at level 0 or ell = 2).
     """
     n_rows, phi = rows.shape
     ords = np.zeros(n_rows, dtype=np.int64)
@@ -267,14 +265,7 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
     b, top = 0, phi
     while top % ell == 0:
         b, top = b + 1, top // ell
-    a = (b + 1) // 2
-    m = ell**a
-    first, found = fold_ords(low.reshape(n_rows, phi // m, m).sum(axis=1), ell)
-    ords += first
-    rest = np.flatnonzero(~found)
-    if rest.size:
-        ords[rest] += _first_taylor_coefficient(low[rest], ell, [ell] * b + [top])[0]
-    return ords
+    return ords + _first_taylor_coefficient(low, ell, [ell] * b + [top])[0]
 
 
 def pi_adic_ord(x: CycInt) -> int:

@@ -55,7 +55,7 @@ def sequence_entry(calc: TowerCalculator, n: int, matrix_tree_budget: int) -> Se
     layer_vertices = spec.base.n_vertices * spec.ell ** (spec.d * n)
     if layer_vertices > matrix_tree_budget:
         return SequenceEntry(n, calc.ord_valuation(n), "l-function")
-    lf = calc.kappa_exact(n)  # first: its level passes also give the orders ord_valuation reads
+    lf = calc.kappa_exact(n)
     order = calc.ord_valuation(n)
     layer = derived_graph(spec, n, vertex_budget=matrix_tree_budget)
     mt = kappa_matrix_tree(layer.graph, spec.ell)

@@ -30,18 +30,20 @@ The tree-number identity used everywhere downstream:
 
 so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum of the per-orbit
 pi-adic orders (exact, no norms needed; full integers come on demand via
-resultants).  Each level is evaluated in one place,
-TowerCalculator._level_pass, fold first.  Since Phi_(ell^k) = (X - 1)^phi
-mod ell, a value's power-basis row folded mod X^w - 1 and mod ell, w about
-sqrt(phi), is P's coefficients mod ell placed at the exponents a.e mod w,
-so the orders come from a (representatives x w) array; only the rows
-whose fold vanishes get full value rows (series.character_values) for
-pi_adic_ords.  Full rows of every representative are built only where
-values are read: norms and orbit records.  Every pass runs in chunks of at
-most about _CHUNK_ENTRIES entries, so memory stays flat as the level
-grows.  level_ords, level_norms and orbit_records read that pass and
-nothing else; the only cache is TowerCalculator's per-level orders and
-norms.
+resultants).  A level's orders come from one fold pass,
+TowerCalculator._ords, the package's only fold.  Since Phi_(ell^k) =
+(X - 1)^phi mod ell, a value's power-basis row folded mod X^w - 1 and mod
+ell, w about sqrt(phi), is P's coefficients mod ell placed at the
+exponents a.e mod w, so the orders come from a (representatives x w)
+array; only the rows whose fold vanishes get full value rows
+(series.character_values) for pi_adic_ords, which strips their content
+and takes one Taylor shift.  Full rows of every representative
+(TowerCalculator._rows) are built only where values are read: norms and
+orbit records.  Every pass runs in chunks of at most about _CHUNK_ENTRIES
+entries, so memory stays flat as the level grows.  level_ords caches a
+level's orders and level_norms checks its norms against them, so a level
+is folded once whatever is asked first; the only cache is
+TowerCalculator's per-level orders and norms.
 """
 
 from __future__ import annotations
@@ -169,11 +171,12 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
 
     The orbits are enumerated once (_orbit_reps).  An orbit of exact order
     ell^k takes its value at level k (degree phi(ell^k), not phi(ell^n)),
-    whose norm equals the orbit product; the orders and the value rows come
-    from one TowerCalculator._level_pass per level, and each norm is
-    checked against its order.  A positive
-    digit limit skips integer values whose predicted size (phi * log10 of
-    the coefficient 1-norm, an upper bound) exceeds it; orders stay exact.
+    whose norm equals the orbit product; each level block of the
+    representatives goes to TowerCalculator._ords for its orders and to
+    _rows for its value rows, and each norm is checked against its order.
+    A positive digit limit skips integer values whose predicted size
+    (phi * log10 of the coefficient 1-norm, an upper bound) exceeds it;
+    orders stay exact.
     The spec goes through TowerCalculator, so an inadmissible base or a
     disconnected tower is rejected as in the tables.
     """
@@ -183,8 +186,8 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     orbits = iter(_character_orbits(ell, n, reps, levels))
     out = []
     for k in range(1, n + 1):
-        ords, rows = calc._level_pass(k, reps[levels == k] // ell ** (n - k))
-        for row, order in zip(rows, ords):
+        block = reps[levels == k] // ell ** (n - k)
+        for row, order in zip(calc._rows(k, block), calc._ords(k, block)):
             value = CycInt(ell, k, row)
             skip = 0 < digit_limit < _digit_bound(value)
             out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
@@ -220,9 +223,10 @@ class TowerCalculator:
     for every layer n >= k, so the tables for n = 1..n_max cost one pass
     per level, not one per layer; this is the package's only cache.  Every
     value is a specialization of the characteristic polynomial P, built on
-    first use.  A level is evaluated by one pass (_level_pass) that gives
-    its pi-adic orders from the fold of P's exponents and, when read, its
-    value rows, so level_norms checks every norm against that order.
+    first use.  A level's pi-adic orders come from the fold of P's
+    exponents (_ords) and are cached by level_ords; its value rows (_rows)
+    are built only for norms, and level_norms checks every norm against
+    level_ords, so each level is folded once.
     """
 
     def __init__(self, spec: VoltageSpec):
@@ -247,26 +251,19 @@ class TowerCalculator:
             self._base = kappa_matrix_tree(self.spec.base, self.spec.ell)
         return self._base
 
-    def _level_pass(self, k: int, reps: np.ndarray | None = None):
-        """(pi-adic orders, power-basis value rows) of the exact-level-k
-        representatives reps (default: the level-k block of _orbit_reps).
+    def _ords(self, k: int, reps: np.ndarray) -> tuple[int, ...]:
+        """pi-adic orders of the level-k values of the representatives reps.
 
-        Orders come from a fold of P's exponents first.  With ell^mu the
-        content of P, character_values(width=w) gives each value of
-        P / ell^mu folded mod X^w - 1 and mod ell, w = ell^floor(k/2) the
-        width of pi_adic_ords' pass 1, in chunks of _CHUNK_ENTRIES // w
-        rows (or fewer, when P has more than w terms to place).  Where the
-        fold is nonzero the order is mu * phi (ell is pi^phi times a unit)
-        plus the fold's order (fold_ords).  The open
-        rows, whose fold vanishes, take their full values through
-        pi_adic_ords, in chunks of _CHUNK_ENTRIES // ell^k rows.  The value
-        rows are an iterator of lists, built in chunks of that size only as
-        they are read.
+        With ell^mu the content of P, character_values(width=w) gives each
+        value of P / ell^mu folded mod X^w - 1 and mod ell, w =
+        ell^floor(k/2), in chunks of _CHUNK_ENTRIES // w rows (or fewer,
+        when P has more than w terms to place).  Where the fold is nonzero
+        the order is mu * phi (ell is pi^phi times a unit) plus the fold's
+        order (fold_ords).  The open rows, whose fold vanishes, take their
+        full values through pi_adic_ords, in chunks of
+        _CHUNK_ENTRIES // ell^k rows.
         """
         ell, poly = self.spec.ell, self.poly
-        if reps is None:
-            reps, levels = _orbit_reps(ell, k, self.spec.d)
-            reps = reps[levels == k]
         mu = min((ord_prime(abs(c), ell) for c in poly.terms.values()), default=0)
         primitive = LaurentPoly({e: c // ell**mu for e, c in poly.terms.items()})
         w = ell ** (k // 2)
@@ -282,30 +279,34 @@ class TowerCalculator:
         for i in range(0, len(rest), step):
             part = rest[i : i + step]
             ords[part] = pi_adic_ords(character_values(poly, ell, k, reps[part]), ell)
+        return tuple(ords.tolist())
 
-        def rows():
-            for i in range(0, len(reps), step):
-                yield from character_values(poly, ell, k, reps[i : i + step]).tolist()
-
-        return tuple(ords.tolist()), rows()
+    def _rows(self, k: int, reps: np.ndarray):
+        """Power-basis rows of the level-k values of the representatives
+        reps, as lists, built in chunks of _CHUNK_ENTRIES // ell^k rows only
+        as they are read."""
+        ell = self.spec.ell
+        step = max(1, _CHUNK_ENTRIES // ell**k)
+        for i in range(0, len(reps), step):
+            yield from character_values(self.poly, ell, k, reps[i : i + step]).tolist()
 
     def level_ords(self, k: int) -> tuple[int, ...]:
         """pi-adic orders of all exact-level-k orbit values, in representative order."""
         got = self._level_ords.get(k)
         if got is None:
-            got = self._level_ords[k] = self._level_pass(k)[0]
+            reps, levels = _orbit_reps(self.spec.ell, k, self.spec.d)
+            got = self._level_ords[k] = self._ords(k, reps[levels == k])
         return got
 
     def level_norms(self, k: int) -> tuple[int, ...]:
         """Norms of the exact-level-k orbit values, each checked against
-        its pi-adic order from the same pass; that pass's orders are kept
-        as level k's orders too."""
+        its pi-adic order from level_ords."""
         got = self._level_norms.get(k)
         if got is None:
-            ords, rows = self._level_pass(k)
-            self._level_ords[k] = ords
+            reps, levels = _orbit_reps(self.spec.ell, k, self.spec.d)
+            rows = self._rows(k, reps[levels == k])
             got = self._level_norms[k] = tuple(
-                _checked_norm(CycInt(self.spec.ell, k, row), o) for row, o in zip(rows, ords)
+                _checked_norm(CycInt(self.spec.ell, k, row), o) for row, o in zip(rows, self.level_ords(k))
             )
         return got
 

@@ -92,9 +92,10 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs, width: int 
     The block of exponents [phi, ell^level) is then folded down in one
     step by zeta^x = -(zeta^(x-phi) + zeta^(x-phi+s) + ... +
     zeta^(x-phi+(ell-2)s)) with s = ell^(level-1).  Index vectors and
-    exponents are reduced mod ell^level first, so their products fit int64
-    whatever the voltages.  Every entry is bounded by the sum of |c| over
-    P's terms: below 2^62 the rows are int64,
+    exponents are reduced mod the output's column count first (ell^level,
+    or the width below), so their products fit int64 whenever the output
+    fits in memory, whatever the voltages and the level.  Every entry is
+    bounded by the sum of |c| over P's terms: below 2^62 the rows are int64,
     otherwise Python integers (dtype=object), through the same code.
     An index vector with other than d entries, for P in d variables, is
     refused with a ValueError.
@@ -112,9 +113,9 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs, width: int 
     a = np.asarray(avecs, dtype=object)
     if a.ndim != 2 or (poly and a.shape[1] != d):
         raise ValueError(f"index vectors must have {d} entries, the tower rank")
-    a = (a % m).astype(np.int64)
-    exps = (np.array(list(poly.terms), dtype=object).reshape(-1, a.shape[1]) % m).astype(np.int64)
     cols = width or m
+    a = (a % cols).astype(np.int64)
+    exps = (np.array(list(poly.terms), dtype=object).reshape(-1, a.shape[1]) % cols).astype(np.int64)
     targets = a @ exps.T % cols
     work = np.zeros((len(a), cols), dtype=dtype)
     coeffs = np.array(list(poly.terms.values()), dtype=dtype)

@@ -87,14 +87,6 @@ class VoltageSpec:
             if len(row) != self.d:
                 raise SpecFormatError(f"voltage {row} does not have {self.d} coordinates")
 
-    def directed_voltage(self, e: int) -> tuple[int, ...]:
-        """Voltage of a directed edge; inverses carry the negated vector."""
-        idx = e >> 1
-        s = self.section.edges[idx]
-        if e == s:
-            return self.alpha[idx]
-        return tuple(-a for a in self.alpha[idx])
-
 
 def reduce_voltage(spec: VoltageSpec, n: int) -> tuple[tuple[int, ...], ...]:
     """Componentwise reduction of the voltages modulo ell^n (n = 0 gives

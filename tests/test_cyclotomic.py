@@ -191,8 +191,8 @@ def _high_order_element(rng, ell, level, c, r):
 @pytest.mark.parametrize("ell, level", [(2, 9), (3, 6), (5, 4)])
 def test_pi_adic_ords_lazy_reduction_at_wide_levels(ell, level):
     # phi = 256, 486 and 500: orders up to phi - 1 lie far past the fold
-    # width, so the full Taylor shift of pass 2 runs on some rows of a
-    # batch while pass 1 settles the others
+    # width of TowerCalculator's level orders, in one batch with rows of
+    # small order, all through the one Taylor shift
     rng = random.Random(ell * 100 + level)
     phi = phi_ell_power(ell, level)
     cases = [(0, phi - 1), (1, phi - 2), (2, 0), (0, 1)]
@@ -208,8 +208,11 @@ def test_pi_adic_ords_lazy_reduction_at_wide_levels(ell, level):
 
 
 def _fold_edges(ell, level):
-    """Orders at the edges of pi_adic_ords' search: the fold width
-    m = ell^ceil(b/2), the digit block ell^b of phi = t * ell^b, and phi."""
+    """Orders at the edges of pi_adic_ords' Taylor shift, which strips the
+    content and then shifts once over the digits of phi = t * ell^b: the
+    fold width m = ell^ceil(b/2) of TowerCalculator's level orders (the
+    rows whose fold vanishes, which pi_adic_ords gets there, have order at
+    least m, or content), the digit block ell^b, and phi."""
     phi = phi_ell_power(ell, level)
     b = 0
     while phi % ell ** (b + 1) == 0:

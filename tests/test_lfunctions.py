@@ -293,6 +293,13 @@ def test_kappa_exact_evaluates_each_level_once(monkeypatch):
     folds.clear()
     valuation_sequence(E1, 7)
     assert folds == [1, 2, 3, 4, 5, 6, 7]
+    # the orders first and then the norms: the norms read the cached
+    # orders, so a level is still folded once
+    folds.clear()
+    calc = TowerCalculator(E1)
+    calc.ord_valuation(4)
+    calc.kappa_exact(4)
+    assert folds == [1, 2, 3, 4]
 
 
 def _full_row_ords(calc, k, reps):

@@ -87,6 +87,26 @@ def test_classical_point_matches_l_value(seed):
     assert CycInt(spec.ell, n, row) == l_value_at_one(spec, n, CharacterIndex(n, vec))
 
 
+@pytest.mark.parametrize(
+    "name, level, width", [("bouquet2_ell3", 25, 3**4), ("bouquet2_ell3", 45, 3**4), ("bouquet2_ell2", 70, 2**6)]
+)
+def test_folded_character_values_past_int64(name, level, width):
+    # index vectors drawn below ell^level: at ell = 3 level 25 their
+    # products with P's exponents pass int64, and at levels 45 (ell = 3) and
+    # 70 (ell = 2) the entries themselves do.  The fold places each
+    # coefficient c of P at column (a.e mod ell^level) mod width, checked
+    # against a scatter in Python integers
+    spec = fixture_spec(name)
+    poly, m = char_poly(spec), spec.ell**level
+    rng = random.Random(level)
+    avecs = [tuple(rng.randrange(m) for _ in range(spec.d)) for _ in range(20)]
+    want = [[0] * width for _ in avecs]
+    for row, a in zip(want, avecs):
+        for e, c in poly.terms.items():
+            row[sum(x * y for x, y in zip(a, e)) % m % width] += c
+    assert character_values(poly, spec.ell, level, avecs, width=width).tolist() == want
+
+
 def test_iwasawa_examples():
     # ell^2 (T^3 + ell T): content 2, distinguished part of degree 3
     q = LaurentPoly({(1,): 8, (3,): 4})
