@@ -3,14 +3,16 @@
 
 For each fixture, builds one TowerCalculator with an empty level cache
 (its characteristic polynomial is built first and not timed) and times
-TowerCalculator.level_ords(k) for k = 1, 2, ... until one level takes
+TowerCalculator.level_sum(k) for k = 1, 2, ... until one level takes
 longer than --seconds.  Prints CSV on stdout, one line per timed level:
 
     fixture,level,orbits,sum_of_orders,seconds
 
-orbits is the number of character orbits of exact level k and
+orbits is the number of character orbits of exact level k, from its
+closed form (ell^(dk) - ell^(d(k-1))) / ((ell - 1) ell^(k-1)), and
 sum_of_orders the sum of their pi-adic orders, the level's share of
-ord_ell(kappa_n).  --seconds 0 stops after level 1 on every fixture.
+ord_ell(kappa_n).  --seconds 0 stops after level 1 on every fixture; a
+value that is not a finite number >= 0 exits 2.
 
 Usage:
     python scripts/level_curve.py [--seconds S] [FIXTURE ...]
@@ -18,6 +20,7 @@ Usage:
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,9 +34,14 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def _seconds(text: str) -> float:
     value = float(text)
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
+
+
+def _orbit_count(ell: int, d: int, k: int) -> int:
+    """Number of Galois orbits of characters of exact order ell^k."""
+    return (ell ** (d * k) - ell ** (d * (k - 1))) // ((ell - 1) * ell ** (k - 1))
 
 
 def main():
@@ -57,9 +65,10 @@ def main():
         while seconds <= args.seconds:
             k += 1
             t0 = time.perf_counter()
-            ords = calc.level_ords(k)
+            total = calc.level_sum(k)
             seconds = time.perf_counter() - t0
-            print(f"{name},{k},{len(ords)},{sum(ords)},{seconds:.4f}", flush=True)
+            orbits = _orbit_count(calc.spec.ell, calc.spec.d, k)
+            print(f"{name},{k},{orbits},{total},{seconds:.4f}", flush=True)
 
 
 if __name__ == "__main__":

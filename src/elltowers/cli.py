@@ -206,14 +206,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     seq = _compute_sequence(args, spec)
     window = (args.n_max - unknowns + 1, args.n_max)
     fit = fit_window(seq, window)
-    if fit is None:
-        _emit("singular\n", args.out)
-        return 1
     verified, residuals = verify_fit(fit, seq)
     stable = None
     if window[0] > 1:
         earlier = fit_window(seq, (window[0] - 1, window[1] - 1))
-        stable = earlier is not None and earlier.coefficients == fit.coefficients
+        stable = earlier.coefficients == fit.coefficients
     formula, integral = format_fit(fit), leading_coefficients_integral(fit)
     coefficients = {_monomial_label(k, j): str(c) for (k, j), c in fit.coefficients.items()}
     rows = _sequence_rows(seq)

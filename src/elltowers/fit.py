@@ -118,10 +118,11 @@ class GreenbergFit:
         return total
 
 
-def fit_window(seq: ValuationSequence, window: tuple[int, int]) -> GreenbergFit | None:
-    """Solve for the candidate coefficients on a window of consecutive
-    layers.  The window length must equal the number of unknowns (2d + 1);
-    returns None when the system is singular."""
+def fit_window(seq: ValuationSequence, window: tuple[int, int]) -> GreenbergFit:
+    """Solve for the candidate coefficients on a window of 2d + 1 consecutive
+    layers.  The system is never singular: its matrix is the Casoratian of
+    2d + 1 independent solutions ell^(k n) n^j of one linear recurrence
+    with nonzero roots ell^0..ell^d."""
     basis = monomial_basis(seq.d)
     n_start, n_end = window
     size = n_end - n_start + 1
@@ -135,7 +136,7 @@ def fit_window(seq: ValuationSequence, window: tuple[int, int]) -> GreenbergFit 
         rhs.append(seq.ord_at(n))
     sol = solve_linear_fractions(rows, rhs)
     if sol is None:
-        return None
+        raise RuntimeError("singular fit window; internal inconsistency")
     return GreenbergFit(seq.ell, seq.d, dict(zip(basis, sol)), window)
 
 

@@ -28,22 +28,21 @@ The tree-number identity used everywhere downstream:
     ell^(d n) * kappa_n = kappa_X * prod over nontrivial orbits of the
                           orbit values,
 
-so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum of the per-orbit
-pi-adic orders (exact, no norms needed; full integers come on demand via
-resultants).  A level's orders come from one fold pass,
-TowerCalculator._ords, the package's only fold.  Since Phi_(ell^k) =
-(X - 1)^phi mod ell, a value's power-basis row folded mod X^w - 1 and mod
-ell, w about sqrt(phi), is P's coefficients mod ell placed at the
-exponents a.e mod w, so the orders come from a (representatives x w)
-array; only the rows whose fold vanishes get full value rows
+so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum over k <= n of S_k,
+S_k the sum of the level-k orbit values' pi-adic orders (exact, no norms
+needed; full integers come on demand via resultants).  Each reader of a
+level gets only what it needs.  ord_valuation reads one number per level,
+TowerCalculator.level_sum(k), from the package's only fold: since
+Phi_(ell^k) = (X - 1)^phi mod ell, a value's power-basis row folded mod
+X^w - 1 and mod ell, w about sqrt(phi), is P's coefficients mod ell placed
+at the exponents a.e mod w, so the orders come from a (representatives x
+w) array; only the rows whose fold vanishes get full value rows
 (series.character_values) for pi_adic_ords, which strips their content
-and takes one Taylor shift.  Full rows of every representative
-(TowerCalculator._rows) are built only where values are read: norms and
-orbit records.  Every pass runs in chunks of at most about _CHUNK_ENTRIES
-entries, so memory stays flat as the level grows.  level_ords caches a
-level's orders and level_norms checks its norms against them, so a level
-is folded once whatever is asked first; the only cache is
-TowerCalculator's per-level orders and norms.
+and takes one Taylor shift.  Norms, orbit records and per-orbit orders
+read (row, order) pairs from one pass over the full value rows
+(TowerCalculator._values), with no fold.  Every pass runs in chunks of at
+most about _CHUNK_ENTRIES entries, so memory stays flat as the level
+grows.  The only cache is TowerCalculator's per-level sums and norms.
 """
 
 from __future__ import annotations
@@ -172,8 +171,9 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     The orbits are enumerated once (_orbit_reps).  An orbit of exact order
     ell^k takes its value at level k (degree phi(ell^k), not phi(ell^n)),
     whose norm equals the orbit product; each level block of the
-    representatives goes to TowerCalculator._ords for its orders and to
-    _rows for its value rows, and each norm is checked against its order.
+    representatives goes through one value pass (TowerCalculator._values),
+    which gives each value row with its pi-adic order, and each norm is
+    checked against its order.
     A positive digit limit skips integer values whose predicted size
     (phi * log10 of the coefficient 1-norm, an upper bound) exceeds it;
     orders stay exact.
@@ -187,7 +187,7 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     out = []
     for k in range(1, n + 1):
         block = reps[levels == k] // ell ** (n - k)
-        for row, order in zip(calc._rows(k, block), calc._ords(k, block)):
+        for row, order in calc._values(k, block):
             value = CycInt(ell, k, row)
             skip = 0 < digit_limit < _digit_bound(value)
             out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
@@ -210,10 +210,16 @@ def _digit_bound(value: CycInt) -> int:
 # the tower calculator ----------------------------------------------------------
 
 
-# entries of one chunk of a level's (representatives x ell^k) value rows or
-# (representatives x w) folds: bounds the memory of one batched pass
-# whatever the level
+# entries of one chunk (_chunks) of level_sum's (representatives x w) folds
+# and open rows, or of _values' (representatives x ell^k) value rows: bounds
+# the memory of one batched pass whatever the level
 _CHUNK_ENTRIES = 2**17
+
+
+def _chunks(reps: np.ndarray, cols: int):
+    """reps in chunks of _CHUNK_ENTRIES // cols rows (at least one), for a pass cols entries wide."""
+    step = max(1, _CHUNK_ENTRIES // cols)
+    return (reps[i : i + step] for i in range(0, len(reps), step))
 
 
 class TowerCalculator:
@@ -223,10 +229,10 @@ class TowerCalculator:
     for every layer n >= k, so the tables for n = 1..n_max cost one pass
     per level, not one per layer; this is the package's only cache.  Every
     value is a specialization of the characteristic polynomial P, built on
-    first use.  A level's pi-adic orders come from the fold of P's
-    exponents (_ords) and are cached by level_ords; its value rows (_rows)
-    are built only for norms, and level_norms checks every norm against
-    level_ords, so each level is folded once.
+    first use.  Each reader gets only what it needs: ord_valuation sums
+    level_sum(k), one cached number per level from the fold of P's
+    exponents; level_norms, orbit_records and level_ords read (row, order)
+    pairs from one value pass (_values), and level_norms caches its norms.
     """
 
     def __init__(self, spec: VoltageSpec):
@@ -237,7 +243,7 @@ class TowerCalculator:
         if not conn.ok:
             raise DisconnectedCoverError("; ".join(conn.reasons))
         self.spec = spec
-        self._level_ords: dict[int, tuple[int, ...]] = {}
+        self._level_sums: dict[int, int] = {}
         self._level_norms: dict[int, tuple[int, ...]] = {}
         self._base: TreeCount | None = None
 
@@ -251,71 +257,60 @@ class TowerCalculator:
             self._base = kappa_matrix_tree(self.spec.base, self.spec.ell)
         return self._base
 
-    def _ords(self, k: int, reps: np.ndarray) -> tuple[int, ...]:
-        """pi-adic orders of the level-k values of the representatives reps.
+    def level_sum(self, k: int) -> int:
+        """Sum of the pi-adic orders of the exact-level-k orbit values; cached.
 
-        With ell^mu the content of P, character_values(width=w) gives each
-        value of P / ell^mu folded mod X^w - 1 and mod ell, w =
-        ell^floor(k/2), in chunks of _CHUNK_ENTRIES // w rows (or fewer,
-        when P has more than w terms to place).  Where the fold is nonzero
-        the order is mu * phi (ell is pi^phi times a unit) plus the fold's
-        order (fold_ords).  The open rows, whose fold vanishes, take their
-        full values through pi_adic_ords, in chunks of
-        _CHUNK_ENTRIES // ell^k rows.
+        character_values(width=w) gives each value of P / ell^mu, ell^mu the
+        content of P, folded mod X^w - 1 and mod ell, w = ell^floor(k/2).  A
+        nonzero fold adds its order (fold_ords) plus mu * phi, since ell is
+        pi^phi times a unit; the open rows, whose fold vanishes, add the
+        orders of their full values (pi_adic_ords).
         """
-        ell, poly = self.spec.ell, self.poly
-        mu = min((ord_prime(abs(c), ell) for c in poly.terms.values()), default=0)
-        primitive = LaurentPoly({e: c // ell**mu for e, c in poly.terms.items()})
-        w = ell ** (k // 2)
-        ords = np.empty(len(reps), dtype=np.int64)
-        found = np.empty(len(reps), dtype=bool)
-        step = max(1, _CHUNK_ENTRIES // max(w, len(poly.terms)))
-        for i in range(0, len(reps), step):
-            fold = character_values(primitive, ell, k, reps[i : i + step], width=w)
-            ords[i : i + step], found[i : i + step] = fold_ords(fold, ell)
-        ords += mu * phi_ell_power(ell, k)
-        step = max(1, _CHUNK_ENTRIES // ell**k)
-        rest = np.flatnonzero(~found)
-        for i in range(0, len(rest), step):
-            part = rest[i : i + step]
-            ords[part] = pi_adic_ords(character_values(poly, ell, k, reps[part]), ell)
-        return tuple(ords.tolist())
+        if k not in self._level_sums:
+            ell, poly = self.spec.ell, self.poly
+            mu = min((ord_prime(abs(c), ell) for c in poly.terms.values()), default=0)
+            primitive = LaurentPoly({e: c // ell**mu for e, c in poly.terms.items()})
+            w = ell ** (k // 2)
+            reps, levels = _orbit_reps(ell, k, self.spec.d)
+            total, open_rows = 0, []
+            for part in _chunks(reps[levels == k], max(w, len(poly.terms))):
+                ords, closed = fold_ords(character_values(primitive, ell, k, part, width=w), ell)
+                total += int(ords[closed].sum()) + int(closed.sum()) * mu * phi_ell_power(ell, k)
+                open_rows.append(part[~closed])
+            for part in _chunks(np.concatenate(open_rows), ell**k):
+                total += int(pi_adic_ords(character_values(poly, ell, k, part), ell).sum())
+            self._level_sums[k] = total
+        return self._level_sums[k]
 
-    def _rows(self, k: int, reps: np.ndarray):
-        """Power-basis rows of the level-k values of the representatives
-        reps, as lists, built in chunks of _CHUNK_ENTRIES // ell^k rows only
-        as they are read."""
+    def _values(self, k: int, reps: np.ndarray):
+        """(row, order) per representative in reps: the power-basis row of its
+        level-k value as a list and the row's pi-adic order, built a chunk at
+        a time as they are read."""
         ell = self.spec.ell
-        step = max(1, _CHUNK_ENTRIES // ell**k)
-        for i in range(0, len(reps), step):
-            yield from character_values(self.poly, ell, k, reps[i : i + step]).tolist()
+        for part in _chunks(reps, ell**k):
+            rows = character_values(self.poly, ell, k, part)
+            yield from zip(rows.tolist(), pi_adic_ords(rows, ell).tolist())
 
     def level_ords(self, k: int) -> tuple[int, ...]:
-        """pi-adic orders of all exact-level-k orbit values, in representative order."""
-        got = self._level_ords.get(k)
-        if got is None:
-            reps, levels = _orbit_reps(self.spec.ell, k, self.spec.d)
-            got = self._level_ords[k] = self._ords(k, reps[levels == k])
-        return got
+        """pi-adic orders of all exact-level-k orbit values, in representative
+        order, from their full value rows; not cached (ord_valuation reads
+        level_sum)."""
+        reps, levels = _orbit_reps(self.spec.ell, k, self.spec.d)
+        return tuple(order for _, order in self._values(k, reps[levels == k]))
 
     def level_norms(self, k: int) -> tuple[int, ...]:
-        """Norms of the exact-level-k orbit values, each checked against
-        its pi-adic order from level_ords."""
-        got = self._level_norms.get(k)
-        if got is None:
+        """Norms of the exact-level-k orbit values, each checked against the
+        pi-adic order of its value row."""
+        if k not in self._level_norms:
             reps, levels = _orbit_reps(self.spec.ell, k, self.spec.d)
-            rows = self._rows(k, reps[levels == k])
-            got = self._level_norms[k] = tuple(
-                _checked_norm(CycInt(self.spec.ell, k, row), o) for row, o in zip(rows, self.level_ords(k))
-            )
-        return got
+            values = self._values(k, reps[levels == k])
+            self._level_norms[k] = tuple(_checked_norm(CycInt(self.spec.ell, k, row), o) for row, o in values)
+        return self._level_norms[k]
 
     def ord_valuation(self, n: int) -> int:
         """ord_ell(kappa_n) via the orbit-sum formula; exact, no norms."""
-        total = self.base_tree_count().ord_ell
-        for k in range(1, n + 1):
-            total += sum(self.level_ords(k))
-        return total - self.spec.d * n
+        sums = sum(self.level_sum(k) for k in range(1, n + 1))
+        return self.base_tree_count().ord_ell + sums - self.spec.d * n
 
     def kappa_exact(self, n: int) -> int:
         """The full tree number of layer n from the orbit-norm product."""

@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 import re
 import subprocess
@@ -5,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_spec
 from test_acceptance import TABLES
 
 E1 = str(FIXTURES / "bouquet2_ell2.json")
@@ -251,6 +253,40 @@ def test_level_curve_stops_after_level_one_at_zero_seconds():
         "bouquet4_ell2_skew": (1, 3, 7),
     }
     assert all(float(seconds) > 0 for *_, seconds in rows)
+
+
+def test_level_curve_sums_reproduce_the_tables():
+    # the level sums add up to the frozen tables: ord_ell(kappa_n) is
+    # sum_{k <= n} S_k - d n, since kappa_X is prime to ell
+    script = FIXTURES.parent / "scripts" / "level_curve.py"
+    result = subprocess.run([sys.executable, str(script), "--seconds", "0.01"], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    sums = {name: [] for name in TABLES}
+    for line in result.stdout.splitlines()[1:]:
+        name, k, _, total, _ = line.split(",")
+        assert int(k) == len(sums[name]) + 1
+        sums[name].append(int(total))
+    for name, table in TABLES.items():
+        d = fixture_spec(name).d
+        for n, want in enumerate(table[: len(sums[name])], start=1):
+            assert sum(sums[name][:n]) - d * n == want, (name, n)
+
+
+@pytest.mark.parametrize("text", ["inf", "1e400", "-inf", "nan", "-1"])
+def test_level_curve_refuses_seconds_that_never_stop(text):
+    script = FIXTURES.parent / "scripts" / "level_curve.py"
+    loaded = importlib.util.spec_from_file_location("level_curve", script)
+    module = importlib.util.module_from_spec(loaded)
+    loaded.loader.exec_module(module)
+    with pytest.raises(argparse.ArgumentTypeError):
+        module._seconds(text)
+    assert module._seconds("0") == 0 and module._seconds("2.5") == 2.5
+    # the command line exits 2 before any level is timed
+    result = subprocess.run(
+        [sys.executable, str(script), f"--seconds={text}", "bouquet2_ell2"], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert "finite number" in result.stderr
 
 
 @pytest.mark.parametrize("name", ["nonexistent", "bouquet2_ell2.json"])

@@ -90,15 +90,25 @@ def test_format_fit_renders_rational_coefficients():
 
 
 def test_fractional_leading_coefficient_flagged():
-    seq = synthetic_sequence(2, 1, {(0, 0): 0}, range(1, 6))
     entries = [SequenceEntry(n, (3 * 2**n + (-1) ** n) // 2, "l-function") for n in range(1, 6)]
     seq = ValuationSequence(2, 1, tuple(entries))
     fit = fit_window(seq, (3, 5))
-    if fit is not None and not leading_coefficients_integral(fit):
-        assert True
-    else:
-        # the solver found an integral fit for this contrived data; fine
-        assert fit is None or leading_coefficients_integral(fit)
+    assert fit.coefficients == {(1, 0): Fraction(5, 4), (0, 1): 3, (0, 0): -8}
+    assert not leading_coefficients_integral(fit)
+
+
+# Every window is solvable: its rows ell^(k n) n^j over consecutive n are
+# 2d + 1 independent solutions of one linear recurrence whose roots
+# ell^0..ell^d are nonzero, so the window matrix (their Casoratian) is
+# never singular.
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_every_window_fits(ell, d):
+    unknowns = len(monomial_basis(d))
+    seq = synthetic_sequence(ell, d, {(0, 0): 1}, range(1, 8 + unknowns))
+    for start in range(1, 9):
+        fit = fit_window(seq, (start, start + unknowns - 1))
+        assert fit.coefficients == {key: int(key == (0, 0)) for key in monomial_basis(d)}
 
 
 def test_route_field_reflects_cross_check():

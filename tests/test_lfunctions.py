@@ -117,16 +117,22 @@ def test_character_values_reduce_large_exponents():
 
 @pytest.mark.parametrize("spec, k", [(E1, 5), (E4, 3)], ids=["bouquet2_ell2", "bouquet2_ell3"])
 def test_level_ords_independent_of_chunking(monkeypatch, spec, k):
+    def level(calc):
+        return calc.level_ords(k), calc.level_sum(k), calc.level_norms(k)
+
     monkeypatch.setattr(lfunctions, "_CHUNK_ENTRIES", 2**40)
-    whole = TowerCalculator(spec).level_ords(k)
-    # a few representatives per chunk, and one per chunk
+    whole = level(TowerCalculator(spec))
+    # a few representatives per chunk, and one per chunk, in the value
+    # pass and the fold alike
     for entries in (3 * spec.ell**k, 1):
         monkeypatch.setattr(lfunctions, "_CHUNK_ENTRIES", entries)
-        assert TowerCalculator(spec).level_ords(k) == whole
+        assert level(TowerCalculator(spec)) == whole
+    ords, total, norms = whole
     calc = TowerCalculator(spec)
     reps = _level_block(spec.ell, k, spec.d)
     values = (CycInt(spec.ell, k, row) for row in character_values(calc.poly, spec.ell, k, reps).tolist())
-    assert whole == tuple(ord_prime(norm_to_int(v), spec.ell) for v in values)
+    assert norms == tuple(map(norm_to_int, values))
+    assert ords == tuple(ord_prime(norm, spec.ell) for norm in norms) and total == sum(ords)
 
 
 def test_orbit_enumeration_small_cases():
@@ -250,9 +256,9 @@ def test_orbits_stay_exact_past_int64(ell, n):
 
 
 def test_orbit_records_enumerate_once(monkeypatch):
-    # one enumeration per call; per level one fold pass for the orders and
-    # one value pass for the records, plus one for the open rows when the
-    # level has any (each level here fits in one chunk)
+    # one enumeration per call and one value pass per level, which gives
+    # the records' rows and orders alike: no fold (each level here fits in
+    # one chunk)
     reps_calls, folds, values = [], [], []
     reps_fn, values_fn = lfunctions._orbit_reps, lfunctions.character_values
 
@@ -268,15 +274,15 @@ def test_orbit_records_enumerate_once(monkeypatch):
     monkeypatch.setattr(lfunctions, "character_values", counted_values)
     records = orbit_records(E1, 4)
     assert len(reps_calls) == 1
-    assert folds == [1, 2, 3, 4]
-    assert sorted(set(values)) == [1, 2, 3, 4] and all(values.count(k) <= 2 for k in values)
+    assert folds == []
+    assert values == [1, 2, 3, 4]
     assert [r.orbit for r in records] == enumerate_orbits(2, 4, 2)
 
 
 def test_kappa_exact_evaluates_each_level_once(monkeypatch):
-    # a cold kappa_exact reads orders off one fold pass per level, and
-    # norms off one value pass plus the open rows' (each level here fits
-    # in one chunk)
+    # a cold kappa_exact reads its norms and their check orders off one
+    # value pass per level, with no fold (each level here fits in one
+    # chunk)
     folds, values = [], []
     values_fn = lfunctions.character_values
 
@@ -286,15 +292,15 @@ def test_kappa_exact_evaluates_each_level_once(monkeypatch):
 
     monkeypatch.setattr(lfunctions, "character_values", counted)
     assert TowerCalculator(E1).kappa_exact(4) == kappa_matrix_tree(derived_graph(E1, 4).graph).kappa
-    assert folds == [1, 2, 3, 4]
-    assert sorted(set(values)) == [1, 2, 3, 4] and all(values.count(k) <= 2 for k in values)
+    assert folds == []
+    assert values == [1, 2, 3, 4]
     # a table cross-checks layers 1..5 within the default budget and reads
-    # the orders of layers 6 and 7 alone: still one fold pass per level
+    # the level sums of layers 6 and 7 alone: one fold pass per level
     folds.clear()
     valuation_sequence(E1, 7)
     assert folds == [1, 2, 3, 4, 5, 6, 7]
-    # the orders first and then the norms: the norms read the cached
-    # orders, so a level is still folded once
+    # the orders first and then the norms: each level sum is folded once
+    # and cached, and the norms fold nothing
     folds.clear()
     calc = TowerCalculator(E1)
     calc.ord_valuation(4)
@@ -335,8 +341,9 @@ def _drawn_spec(rng, ell, d, copies):
     st.booleans(),
 )
 def test_level_ords_match_full_rows(seed, ell, d, content):
-    # the fold of P's exponents gives the orders of the full power-basis
-    # rows, row by row, with and without ell-content in P
+    # the fold of P's exponents gives the sum of the orders of the full
+    # power-basis rows, with and without ell-content in P; level_ords
+    # gives them row by row
     spec = _drawn_spec(random.Random(seed), ell, d, ell if content else 1)
     calc = TowerCalculator(spec)
     if content:
@@ -345,7 +352,9 @@ def test_level_ords_match_full_rows(seed, ell, d, content):
         reps = _level_block(ell, k, d)
         if len(reps) * ell**k > 20000:
             break
-        assert calc.level_ords(k) == _full_row_ords(calc, k, reps), k
+        want = _full_row_ords(calc, k, reps)
+        assert calc.level_sum(k) == sum(want), k
+        assert calc.level_ords(k) == want, k
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -353,10 +362,12 @@ def test_fixture_level_ords_match_full_rows_to_frozen_depth(all_fixture_specs, n
     spec = all_fixture_specs[name]
     calc = TowerCalculator(spec)
     for k in range(1, {2: 10, 3: 7}[spec.ell] + 1):
-        assert calc.level_ords(k) == _full_row_ords(calc, k, _level_block(spec.ell, k, spec.d)), k
+        want = _full_row_ords(calc, k, _level_block(spec.ell, k, spec.d))
+        assert calc.level_sum(k) == sum(want), k
+        assert calc.level_ords(k) == want, k
 
 
-def test_level_ords_build_few_full_rows(monkeypatch):
+def test_level_sum_builds_few_full_rows(monkeypatch):
     # only the rows whose fold vanishes get full values: at most 1/16 of
     # the 1,536 orbits of bouquet2_ell2's level 10
     full = []
@@ -368,8 +379,10 @@ def test_level_ords_build_few_full_rows(monkeypatch):
         return values_fn(poly, ell, level, avecs, width)
 
     monkeypatch.setattr(lfunctions, "character_values", counted)
-    assert len(TowerCalculator(E1).level_ords(10)) == 1536
+    total = TowerCalculator(E1).level_sum(10)
     assert sum(full) <= 1536 // 16
+    ords = TowerCalculator(E1).level_ords(10)
+    assert len(ords) == 1536 and total == sum(ords)
 
 
 def test_orbit_records_are_immutable_hashable_and_picklable():
