@@ -1,4 +1,5 @@
-"""Exact arithmetic in prime-power cyclotomic integer rings.
+"""Elements of prime-power cyclotomic integer rings: storage, valuations
+and norms.
 
 An element of Z[zeta], zeta a primitive ell^n-th root of unity, is stored
 as an integer coefficient vector of length phi(ell^n) = (ell-1) ell^(n-1),
@@ -6,11 +7,14 @@ i.e. a residue class modulo the sparse cyclotomic polynomial
 
     Phi(x) = 1 + x^(ell^(n-1)) + x^(2 ell^(n-1)) + ... + x^((ell-1) ell^(n-1)).
 
-Everything is exact: norms down to Z are integer resultants, and ell-adic
-valuations are orders at the uniformizer pi = 1 - zeta of the unique
-(totally ramified) prime above ell, read off from the ell-content and a
-computation modulo ell.  No complex embedding, no floating point, no
-precision to manage.
+The package never adds or multiplies elements: it builds their rows with
+numpy (series.character_values), stores one as a CycInt record, takes its
+order at the uniformizer pi = 1 - zeta of the unique (totally ramified)
+prime above ell, read off from the ell-content and a computation modulo
+ell, and its norm down to Z as an integer resultant.  No complex
+embedding, no floating point, no precision to manage.  The ring
+arithmetic on these records, which the tests build oracle values with,
+lives in tests/oracles.py.
 
 level n = 0 is allowed and degenerates to plain integers, which is
 convenient for trivial characters.
@@ -28,31 +32,9 @@ def phi_ell_power(ell: int, level: int) -> int:
     return (ell - 1) * ell ** (level - 1)
 
 
-def _reduce_exponent_vector(ell, level, work):
-    """Reduce a coefficient vector indexed by exponents in [0, ell^level)
-    to the power basis 1, zeta, ..., zeta^(phi-1).
-
-    Uses x^e = -(x^(e-phi) + x^(e-phi+s) + ... ) with s = ell^(level-1);
-    every target index lands below phi, so a single top-down pass suffices.
-    """
-    phi = phi_ell_power(ell, level)
-    if level == 0:
-        return [sum(work)]
-    step = ell ** (level - 1)
-    m = ell**level
-    for e in range(m - 1, phi - 1, -1):
-        c = work[e]
-        if c:
-            work[e] = 0
-            base = e - phi
-            for j in range(ell - 1):
-                work[base + j * step] -= c
-    del work[phi:]
-    return work
-
-
 class CycInt:
-    """A cyclotomic integer: level (ell, n) plus phi(ell^n) coefficients."""
+    """A cyclotomic integer as a record: level (ell, n) plus its phi(ell^n)
+    power-basis coefficients, equal and hashed by all three."""
 
     __slots__ = ("ell", "level", "coeffs")
 
@@ -65,84 +47,7 @@ class CycInt:
             raise ValueError(f"need exactly {phi} coefficients at level ({ell},{level})")
         self.coeffs = coeffs
 
-    # constructors ---------------------------------------------------------
-
-    @classmethod
-    def from_exponents(cls, ell, level, long_coeffs):
-        """Build from a coefficient list indexed by arbitrary exponents."""
-        m = ell**level
-        work = [0] * m
-        for e, c in enumerate(long_coeffs):
-            if c:
-                work[e % m] += c
-        return cls(ell, level, _reduce_exponent_vector(ell, level, work))
-
-    @classmethod
-    def integer(cls, ell, level, c):
-        phi = phi_ell_power(ell, level)
-        return cls(ell, level, (int(c),) + (0,) * (phi - 1))
-
-    @classmethod
-    def zero(cls, ell, level):
-        return cls.integer(ell, level, 0)
-
-    @classmethod
-    def one(cls, ell, level):
-        return cls.integer(ell, level, 1)
-
-    # ring operations ------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return CycInt.integer(self.ell, self.level, other)
-        if isinstance(other, CycInt):
-            if (other.ell, other.level) != (self.ell, self.level):
-                raise ValueError("mixed cyclotomic levels")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycInt(self.ell, self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CycInt(self.ell, self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return CycInt(self.ell, self.level, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        m = self.ell**self.level
-        work = [0] * m
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        work[(i + j) % m] += ai * bj
-        return CycInt(self.ell, self.level, _reduce_exponent_vector(self.ell, self.level, work))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = CycInt.integer(self.ell, self.level, other)
         if not isinstance(other, CycInt):
             return NotImplemented
         return (self.ell, self.level, self.coeffs) == (other.ell, other.level, other.coeffs)
@@ -150,32 +55,8 @@ class CycInt:
     def __hash__(self):
         return hash((self.ell, self.level, self.coeffs))
 
-    def __bool__(self):
-        return any(self.coeffs)
-
     def __repr__(self):
         return f"CycInt(ell={self.ell}, level={self.level}, coeffs={self.coeffs})"
-
-    # structure ------------------------------------------------------------
-
-    def conjugate(self, u: int):
-        """Apply the field automorphism zeta -> zeta^u, u coprime to ell."""
-        if u % self.ell == 0:
-            raise ValueError("conjugation exponent must be a unit")
-        m = self.ell**self.level
-        work = [0] * m
-        for e, c in enumerate(self.coeffs):
-            if c:
-                work[(e * u) % m] += c
-        return CycInt(self.ell, self.level, _reduce_exponent_vector(self.ell, self.level, work))
-
-    def is_rational_integer(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def constant_value(self) -> int:
-        if not self.is_rational_integer():
-            raise ValueError("element is not a rational integer")
-        return self.coeffs[0]
 
 
 # valuations -----------------------------------------------------------------

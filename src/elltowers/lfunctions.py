@@ -81,12 +81,6 @@ class CharacterOrbit(NamedTuple):
     exact_order: int
     size: int
 
-    def members(self) -> list[CharacterIndex]:
-        m = self.ell**self.level
-        rep = self.representative.vector
-        out = {tuple(u * x % m for x in rep) for u in range(1, self.exact_order) if u % self.ell}
-        return [CharacterIndex(self.level, v) for v in sorted(out)]
-
 
 class LValueRecord(NamedTuple):
     orbit: CharacterOrbit

@@ -102,9 +102,11 @@ def det_in_ring(rows):
     Laplace expansion memoised on column subsets, O(2^n * n) ring
     operations; meant for small matrices whose entries are ring elements
     where exact division is awkward: Laurent polynomials, once per tower
-    for the characteristic polynomial P(x) = det(D - A_x), and cyclotomic
-    integers in the tests' l_value_at_one oracle (tests/oracles.py).
-    Entries must support +, -, * and truthiness.
+    for the characteristic polynomial P(x) = det(D - A_x), and, in the
+    tests' l_value_at_one oracle, cyclotomic integers of the ring that
+    tests/oracles.py builds on the package's CycInt record (the package's
+    own CycInt has no arithmetic).  Entries must support +, -, * and
+    truthiness.
     """
     n = len(rows)
     if n == 0:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elltowers import cyclotomic
 from elltowers.cyclotomic import (
-    CycInt,
     norm_to_int,
     phi_ell_power,
     pi_adic_ord,
@@ -15,6 +15,7 @@ from elltowers.cyclotomic import (
 )
 from elltowers.treecount import ord_prime
 
+from oracles import Cyclotomic as CycInt
 from oracles import norm_by_conjugates
 
 LEVELS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
@@ -64,6 +65,27 @@ def test_ring_laws(data):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_record_and_ring_are_one_element(data):
+    # the package's record and the oracles' ring element on the same
+    # coefficients: equal both ways, hashed alike, one norm and one order
+    ell, level = data.draw(st.sampled_from(LEVELS + [(3, 0)]))
+    x = data.draw(cyc_elements(ell, level))
+    record = cyclotomic.CycInt(ell, level, x.coeffs)
+    assert type(record) is not type(x)
+    assert record == x and x == record and not record != x and not x != record
+    assert hash(record) == hash(x) and len({record, x}) == 1
+    assert norm_to_int(record) == norm_to_int(x)
+    if x:
+        assert pi_adic_ord(record) == pi_adic_ord(x)
+    other = x + 1
+    assert record != other and other != record
+    for coeffs in (x.coeffs + (0,), x.coeffs[1:]):
+        with pytest.raises(ValueError):
+            cyclotomic.CycInt(ell, level, coeffs)
 
 
 def test_norm_examples():

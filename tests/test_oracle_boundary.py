@@ -2,8 +2,9 @@
 
 The reference implementations the tests compare production code against
 live in tests/oracles.py.  These tests read the source with ast:
-no package module defines or imports an oracle, the oracles import from
-the package only data types and the routines they are built on (never a
+no package module defines or imports an oracle, the package's CycInt
+stays a record with no ring arithmetic, the oracles import from the
+package only data types and the routines they are built on (never a
 routine they check), and an import the package keeps only so that
 perfbench/tracer.py can wrap it names a traced target.
 """
@@ -20,6 +21,13 @@ PACKAGE = TESTS.parent / "src" / "elltowers"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 ORACLES = {
+    "_reduce_exponent_vector",
+    "Cyclotomic",
+    "from_exponents",
+    "conjugate",
+    "is_rational_integer",
+    "constant_value",
+    "orbit_members",
     "_twisted_counts",
     "twisted_adjacency",
     "l_value_at_one",
@@ -100,6 +108,16 @@ def test_package_neither_defines_nor_imports_an_oracle(path):
         assert "oracles" not in module.split(".") and name not in ORACLES, (
             f"{path.name} imports {name or module} from the tests' oracles"
         )
+
+
+def test_cycint_is_a_record():
+    # the ring's dunders cannot go into ORACLES: series.LaurentPoly defines
+    # them for its own ring
+    tree = _tree(PACKAGE / "cyclotomic.py")
+    (cls,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CycInt")
+    body = ast.Module(body=cls.body, type_ignores=[])
+    extra = set(_defined(body)) - {"__slots__", "__init__", "__eq__", "__hash__", "__repr__"}
+    assert not extra, f"CycInt defines {sorted(extra)}; the ring belongs in tests/oracles.py"
 
 
 def test_oracles_import_no_routine_they_check():
