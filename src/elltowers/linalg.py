@@ -5,20 +5,19 @@ inside the determinant bound for the modular determinant, where it is
 padded conservatively before being used to pick how many primes to take.
 
 The modular determinant reads its input once into compressed sparse rows
-(CSR) and builds no other n x n array.  It orders the matrix by reverse
-Cuthill-McKee of the pattern of A + A^T, then eliminates modulo a whole
-batch of primes at once inside the envelope of that pattern (George and
-Liu 1981, ch. 4): step k searches its pivot in rows k..R_k and updates
-rows k+1..R_k, where R_k is read from the pattern alone.  With
-w = max(R_k - k), a narrow band has w + 1 rows per step whatever n is;
-dense elimination is the case w = n - 1.  Only a strip of the matrix,
-2w + 1 rows high, is held per prime, refilled from the CSR copy; all
-primes go in one pass when their strips fit in a fixed 32 MB, so memory
-is O(nonzeros) plus 32 MB, or one prime's strip where that is larger,
-whatever n is.  The lazy-reduction guard
-bounds the products one entry absorbs between reductions by w + 1, so the
-size limit is on the band, not on n, and the primes are as wide as the
-band allows: 2^28 to 2^29 on the bands of tower layers, never below 2^25.
+(CSR) and builds no other n x n array.  det_exact_modular orders it by
+reverse Cuthill-McKee of the pattern of A + A^T, whose envelope (George
+and Liu 1981, ch. 4), w + 1 rows per step, sizes the primes: the
+lazy-reduction guard bounds the products an entry absorbs between
+reductions by w + 1, so the limit is on the band, not on n, and the primes
+are as wide as the band allows, 2^28 to 2^29 on tower layers, never below
+2^25.  det_mod_prime eliminates a batch of primes at once, front by front
+in nested-dissection order, without pivoting.  A prime goes to banded
+elimination with row swaps only when a pivot vanishes modulo it beside a
+live row and column: on a connected layer, when it divides a leading
+minor, which no fixture layer shows; the tests' small primes, zero
+diagonals and non-symmetric input do it often.  Passes fit the banded
+strips, 2w + 1 rows high, in 32 MB; a layer's fronts take less.
 """
 
 from __future__ import annotations
@@ -251,42 +250,18 @@ def _envelope(mat: _Csr):
     return rows_to, cols_to, height, (min(2 * height - 1, n), min(height + width - 1, n))
 
 
-def det_mod_prime(mat, primes) -> list[int]:
-    """Determinants of an integer matrix modulo each of a sequence of primes.
-
-    ``mat`` is the CSR copy det_exact_modular makes, or a dense array, which
-    is converted the same way.  One Gaussian elimination over F_p for all
-    the primes at once.  An int64 array of shape (strip rows, strip
-    columns, primes) holds only the active strip, with the primes innermost
-    so that every row update is one long contiguous run.  Step k searches
-    its pivot in rows k..R_k and updates rows k+1..R_k, with R_k and the
-    column bound C_k from ``_envelope``; the update stops at the last
-    column where the pivot row is nonzero modulo some prime of the batch,
-    which without row swaps is about k + w rather than C_k <= k + 2w.  A
-    window of w + 1 rows slides down the strip as a view, and every w + 1
-    steps the strip is refilled: the rows elimination has touched move up,
-    reduced modulo p, and the rows the next w + 1 steps touch first are
-    zeroed and given their CSR entries raw, the same for every prime.
-    Nothing is copied per step.  Per prime, Python computes only the pivot
-    inverse; a prime whose pivot column vanishes gets residue 0 and stays
-    in the batch with zero row factors.
-
-    Reduction is lazy: each step reduces only the pivot column and the
-    pivot row, so between refills an entry starts below 2^25 in absolute
-    value (entries of ``mat`` must be) and absorbs at most w + 1 products
-    below p^2.  The guard refuses a band with (w + 1)(p - 1)^2 + 2^25 >=
-    2^62, which at every p < 2^25 allows w + 1 up to 4096 rows per step, and
-    p up to 2^28 at w + 1 = 64; the matrix size n does not enter.
+def _banded(mat: _Csr, primes: list[int]) -> list[int]:
+    """Determinants of a CSR integer matrix modulo primes its band guard
+    admits, for those det_mod_prime fails: elimination with row swaps in
+    the envelope.  Step k searches its pivot in rows k..R_k and updates
+    rows k+1..R_k up to the pivot row's last nonzero column, inside C_k;
+    a strip of (strip rows, strip columns, primes) holds the active rows
+    and every w + 1 steps moves them up, reduced, and takes fresh rows raw.
+    Each step reduces only the pivot column and row, so an entry absorbs at
+    most w + 1 products between refills.
     """
-    primes = [int(p) for p in primes]
-    if isinstance(mat, np.ndarray):
-        mat = _csr(mat)
     n = len(mat.ptr) - 1
     rows_to, cols_to, height, shape = _envelope(mat)
-    top = max(primes)
-    if top > _prime_ceiling(height):
-        raise ValueError(
-            f"band too wide for lazy-reduction elimination: {height} rows per step at p = {top}")
     ps = np.array(primes, dtype=np.int64)
     each = np.arange(len(primes))
     strip = np.empty(shape + (len(primes),), dtype=np.int64)
@@ -325,6 +300,186 @@ def det_mod_prime(mat, primes) -> list[int]:
                 factors = col[1:] * np.array(inv, dtype=np.int64) % ps
                 right -= int(row.any(axis=1)[::-1].argmax())
                 strip[j + 1:low, j + 1:right] -= factors[:, None] * row[1:right - j]
+    return (det % ps).tolist()
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """Distinct values of a nonnegative integer array, increasing (np.unique imports numpy.ma)."""
+    x = np.sort(x)
+    return x[np.diff(x, prepend=-1) != 0]
+
+
+def _pattern(mat: _Csr) -> _Csr:
+    """The nonzero pattern of A + A^T, as a CSR of ones."""
+    n = len(mat.ptr) - 1
+    i, j = mat.rows(), mat.cols
+    i, j = np.divmod(_distinct(np.concatenate((i * n + j, j * n + i))), n)
+    return _Csr(_pointers(i, n), j, np.ones_like(j))
+
+
+_LEAF = 8  # parts of at most this many rows are fronts, not dissected further
+
+
+def _dissection(pattern: _Csr) -> tuple[list[int], list[int]]:
+    """Nested-dissection order of a symmetric pattern, given as CSR, and the
+    ends of its fronts in that order (George 1973).  Components of at most
+    _LEAF vertices are packed into fronts of at most _LEAF.  A larger one
+    is searched breadth-first from a last-level vertex of a first search,
+    and the middle level of that second search is a front: no edge joins
+    the levels before it to those after it.  What is left is split the
+    same way.  Fronts come in postorder, separators after their parts.
+    """
+    n = len(pattern.ptr) - 1
+    cols, cuts = pattern.cols.tolist(), pattern.ptr.tolist()
+    nbrs = [cols[cuts[v]:cuts[v + 1]] for v in range(n)]
+    seen = [0] * n  # the last search that reached a vertex; inf once in a front
+    stamp = 0
+    fronts = []  # in preorder, every subtree in one run
+    far = []  # a last-level vertex of each component still to split
+
+    def levels_from(v):
+        nonlocal stamp
+        stamp += 1
+        seen[v] = stamp
+        levels = [[v]]
+        while levels[-1]:
+            levels.append([])
+            for w in levels[-2]:
+                for u in nbrs[w]:
+                    if seen[u] < stamp:
+                        seen[u] = stamp
+                        levels[-1].append(u)
+        return levels[:-1]
+
+    def front(vertices):
+        for v in vertices:
+            seen[v] = math.inf
+        fronts.append(vertices)
+
+    def parts(vertices):
+        first, leaf = stamp, []
+        for v in vertices:
+            if seen[v] > first:
+                continue  # searched in this call
+            levels = levels_from(v)
+            part = [u for level in levels for u in level]
+            if len(part) > _LEAF:
+                far.append(levels[-1][0])
+                continue
+            if len(leaf) + len(part) > _LEAF:
+                front(leaf)
+                leaf = []
+            leaf += part
+        if leaf:
+            front(leaf)
+
+    parts(range(n))
+    while far:
+        levels = levels_from(far.pop())
+        mid = len(levels) // 2
+        front(levels[mid])
+        parts([u for level in levels[:mid] + levels[mid + 1:] for u in level])
+    fronts.reverse()
+    return [v for f in fronts for v in f], np.cumsum([len(f) for f in fronts]).tolist()
+
+
+def _fronts(mat: _Csr) -> list[tuple]:
+    """The symbolic phase: the fronts of ``mat``, rows renumbered in the
+    nested-dissection order of the pattern of A + A^T, each as (index,
+    pivots, at, vals, children).  The dense front holds rows and columns
+    ``index``, increasing: ``pivots`` pivot rows, then the later rows its
+    pivots reach in the pattern or in its children's update rows.  The
+    matrix entries ``vals`` go to its flat positions ``at``: each entry, at
+    its own row and column, to the front that pivots its earlier row or
+    column, so pivot columns are read from A^T, not mirrored.  Each (child,
+    positions) pair in ``children`` places a child's update block; a
+    front's parent pivots the first of its update rows.
+    """
+    order, ends = _dissection(_pattern(mat))
+    mat = _permuted(mat, order)
+    pattern = _pattern(mat)
+    front_of = np.repeat(np.arange(len(ends)), np.diff([0] + ends))
+    rows, cols = mat.rows(), mat.cols
+    owner = front_of[np.minimum(rows, cols)]
+    by, cuts = np.argsort(owner, kind="stable"), _pointers(owner, len(ends))
+    upds, fronts = [], []
+    children = [[] for _ in ends]
+    for t, (start, end) in enumerate(zip([0] + ends, ends)):
+        reach = [pattern.cols[pattern.ptr[start]:pattern.ptr[end]]] + [upds[c] for c in children[t]]
+        upd = _distinct(np.concatenate(reach))
+        upd = upd[upd >= end]
+        index = np.concatenate((np.arange(start, end), upd))
+        f = len(index)
+        e = by[cuts[t]:cuts[t + 1]]
+        at = np.searchsorted(index, rows[e]) * f + np.searchsorted(index, cols[e])
+        locs = [(c, np.searchsorted(index, upds[c])) for c in children[t]]
+        into = [(c, (loc[:, None] * f + loc).ravel()) for c, loc in locs]
+        if len(upd):
+            children[front_of[upd[0]]].append(t)
+        upds.append(upd)
+        fronts.append((index, end - start, at, mat.vals[e], into))
+    return fronts
+
+
+def det_mod_prime(mat, primes) -> list[int]:
+    """Determinants of an integer matrix modulo each of a sequence of primes.
+
+    ``mat`` is the CSR copy det_exact_modular makes, or a dense array, which
+    is converted the same way.  One multifrontal elimination over F_p for
+    all the primes at once (Duff and Reid 1983), with no pivoting: the
+    determinant is the product of the pivots.  A front is an int64 array
+    of shape (f, f, primes), primes innermost so that each row update is
+    one contiguous run; it takes its entries and its children's update
+    blocks, eliminates its pivots by rank-1 steps, and passes its trailing
+    block on, reduced modulo p.  A vanishing pivot whose column or row in
+    the front vanishes too makes the matrix singular modulo p, residue 0;
+    any other fails its prime, which ``_banded`` redoes.
+
+    Each step reduces only the pivot column and row, and a front reduces
+    its trailing block every w + 1 steps (w + 1 the envelope height), so
+    an entry, below 2^25 in absolute value (as in ``mat``) plus added
+    residues, absorbs at most w + 1 products below p^2 between reductions.
+    The guard refuses (w + 1)(p - 1)^2 + 2^25 >= 2^62: w + 1 up to 4096
+    at every p < 2^25, p up to 2^28 at w + 1 = 64; n does not enter.
+    """
+    primes = [int(p) for p in primes]
+    if isinstance(mat, np.ndarray):
+        mat = _csr(mat)
+    height = _envelope(mat)[2]
+    top = max(primes)
+    if top > _prime_ceiling(height):
+        raise ValueError(
+            f"band too wide for lazy-reduction elimination: {height} rows per step at p = {top}")
+    ps = np.array(primes, dtype=np.int64)
+    det = np.ones(len(primes), dtype=np.int64)
+    failed = np.zeros(len(primes), dtype=bool)
+    pending = {}
+    for t, (index, s, at, vals, children) in enumerate(_fronts(mat)):
+        f = len(index)
+        block = np.zeros((f * f, len(primes)), dtype=np.int64)
+        block[at] = vals[:, None]
+        for c, into in children:
+            block[into] += pending.pop(c)
+        block = block.reshape(f, f, len(primes))
+        for k in range(s):
+            if k and k % height == 0:
+                block[k:, k:] %= ps
+            col = block[k:, k]
+            col %= ps
+            row = block[k, k + 1:]
+            row %= ps
+            pivot = col[0].tolist()
+            if 0 in pivot:
+                failed |= (col[0] == 0) & (det != 0) & col[1:].any(axis=0) & row.any(axis=0)
+            det = det * col[0] % ps
+            if k + 1 < f:
+                inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivot, primes)], dtype=np.int64)
+                block[k + 1:, k + 1:] -= (col[1:] * inv % ps)[:, None] * row
+        if s < f:
+            pending[t] = (block[s:, s:] % ps).reshape(-1, len(primes))
+    redo = np.flatnonzero(failed)
+    if len(redo):
+        det[redo] = _banded(mat, ps[redo].tolist())
     return (det % ps).tolist()
 
 
@@ -392,17 +547,17 @@ def det_exact_modular(rows) -> int:
     is built: memory is O(nonzeros + the pass budget) beside the caller's
     input, which goes once it is read unless the caller still holds it.
     The matrix is permuted symmetrically by the reverse Cuthill-McKee order
-    of the pattern of A + A^T, which narrows the envelope det_mod_prime
-    eliminates in and leaves the determinant alone.  The number of primes
-    is chosen so their product exceeds twice a bound on |det| (see
-    ``_log2_det_bound``), which makes the centered CRT lift exact; this is
-    a deterministic computation, not a probabilistic one.  The primes are
-    the largest that det_mod_prime's guard admits for the envelope height
-    w + 1, and no narrower than 2^25, so a wide band is refused there
-    rather than run on small primes.  The prime list is built first and
-    goes to det_mod_prime in one pass when the strips of all primes fit in
-    a fixed budget of 32 MB; otherwise in the fewest passes that fit, with
-    pass sizes differing by at most one.
+    of the pattern of A + A^T, which narrows the envelope that sizes the
+    primes and the fallback's strips and leaves the determinant alone.
+    The number of primes is chosen so their product exceeds twice a bound
+    on |det| (see ``_log2_det_bound``), which makes the centered CRT lift
+    exact; this is a deterministic computation, not a probabilistic one.
+    The primes are the largest that det_mod_prime's guard admits for the
+    envelope height w + 1, and no narrower than 2^25, so a wide band is
+    refused there rather than run on small primes.  The prime list is
+    built first and goes to det_mod_prime in one pass when the banded
+    strips of all primes fit in a fixed budget of 32 MB; otherwise in the
+    fewest passes that fit, with pass sizes differing by at most one.
     """
     n = len(rows)
     if n == 0:
@@ -412,10 +567,7 @@ def det_exact_modular(rows) -> int:
     if not np.diff(mat.ptr).all():
         return 0  # a zero row
     target = _log2_det_bound(mat) + 8.0  # float slop + the factor of 2 for the signed lift
-    i, j = mat.rows(), mat.cols
-    ends = np.sort(np.concatenate((i * n + j, j * n + i)))  # the pattern of A + A^T
-    i, j = np.divmod(ends[np.diff(ends, prepend=-1) != 0], n)
-    mat = _permuted(mat, _rcm_order(_Csr(_pointers(i, n), j, np.ones_like(j))))
+    mat = _permuted(mat, _rcm_order(_pattern(mat)))
 
     _, _, height, shape = _envelope(mat)
     primes = []

@@ -4,17 +4,14 @@ Delete a row and the matching column of the Laplacian D - A and take the
 determinant: that is the number of spanning trees, and 0 exactly when the
 graph is disconnected.  Loops cancel between D and A and contribute
 nothing.  The reduced Laplacian is an int64 array built from the edge
-pairs.  Every one goes through the CRT-modular determinant, which reads
-the array once into compressed sparse rows, orders it by reverse
-Cuthill-McKee (which reads only the nonzero pattern and turns a layer's
-few nonzeros per row into a narrow band) and eliminates its primes
-together inside that envelope, in one pass while their strips fit in
-32 MB (memory is O(nonzeros + 32 MB) beside this dense array), with
-primes as wide as the band allows (2^28 to 2^29 on a layer's band).  It
-is exact: a reduced Laplacian is symmetric and diagonally dominant, so
-the product of its diagonal bounds the prime count.  Fraction-free
-Bareiss elimination stays in ``linalg`` as the oracle it is checked
-against, off this path.
+pairs, and every one goes through ``linalg.det_exact_modular``: CRT over
+primes sized by the band of its reverse Cuthill-McKee order, each residue
+from multifrontal elimination in nested-dissection order of its nonzero
+pattern alone (no voltage, group or character data), in memory
+O(nonzeros + 32 MB) beside this array.  It is exact: a reduced Laplacian
+is symmetric and diagonally dominant, so the product of its diagonal
+bounds the prime count.  Fraction-free Bareiss elimination stays in
+``linalg`` as the oracle it is checked against, off this path.
 """
 
 from __future__ import annotations

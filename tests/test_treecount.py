@@ -20,7 +20,7 @@ from elltowers.treecount import (
 )
 from elltowers.voltage import derived_graph
 
-from conftest import fixture_spec, random_connected_spec, random_validated_graph
+from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec, random_validated_graph
 from oracles import kappa_by_enumeration
 
 DOUBLED_C4 = build_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (3, 0), (3, 0)])
@@ -506,3 +506,102 @@ def test_other_matrices_keep_row_norm_bound(block, copies):
                 rows[2 * c + i][2 * c + j] = block[i][j]
     hadamard = sum(0.5 * math.log2(sum(x * x for x in r)) for r in rows)
     assert bits_of_primes_used(rows) >= hadamard + 8
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_multifrontal_residues_on_derived_layers_agree_with_bareiss(seed):
+    # a connected layer's reduced Laplacian is positive definite, so no
+    # pivot vanishes over Q, and at primes past 2^25 none vanishes here
+    # modulo p: the banded routine is never entered
+    rng = random.Random(seed)
+    while True:
+        spec = random_connected_spec(rng, max_vertices=4, d=rng.choice((1, 2)))
+        v = spec.base.n_vertices
+        levels = [n for n in (1, 2) if v > 1 and 8 < v * spec.ell ** (spec.d * n) <= 100]
+        if levels:
+            break
+    lap = reduced_laplacian(derived_graph(spec, rng.choice(levels)).graph)
+    exact = bareiss_det(lap)
+    residues = []
+
+    def spy(mat, primes):
+        got = det_mod_prime(mat, primes)
+        residues.extend(zip(primes, got))
+        return got
+
+    with mock.patch.object(linalg, "det_mod_prime", spy), \
+            mock.patch.object(linalg, "_banded", side_effect=AssertionError("banded routine entered")):
+        assert det_exact_modular(lap) == exact
+    assert residues and residues == [(p, exact % p) for p, _ in residues]
+
+
+def test_vanishing_pivot_falls_back_only_when_its_column_and_row_live():
+    # [[2, 1], [1, 2]]: the pivot 2 vanishes mod 2 beside a live column, so
+    # p = 2 goes to the banded routine and p = 5 does not; det = 3
+    with mock.patch.object(linalg, "_banded", wraps=linalg._banded) as banded:
+        assert det_mod_prime(np.array([[2, 1], [1, 2]]), [2, 5]) == [1, 3]
+    assert [c.args[1] for c in banded.call_args_list] == [[2]]
+    # a vanishing pivot whose row vanishes: residue 0, no fallback
+    with mock.patch.object(linalg, "_banded", side_effect=AssertionError("banded routine entered")):
+        assert det_mod_prime(np.array([[0, 0], [1, 2]]), [2, 5]) == [0, 0]
+
+
+def test_front_with_more_pivots_than_the_band_reduces_partway():
+    # the lower band is 2 rows high, so the guard admits p near 2^30.5; the
+    # leaf front takes all 8 rows, moves row 1 last, and its last entry
+    # absorbs 6 products below p^2, past 2^63 unless reduced after 2 steps
+    signs = ["-0+--+-+", "0+-0--+-", "0-++000-", "00-++00+",
+             "000++---", "0000+-++", "00000-+-", "000000--"]
+    rows = [[{"+": WIDEST_ENTRY, "-": -WIDEST_ENTRY, "0": 0}[c] for c in r] for r in signs]
+    mat = linalg._csr(np.array(rows))
+    assert linalg._envelope(mat)[2] == 2 and [front[1] for front in linalg._fronts(mat)] == [8]
+    p = widest_admitted_prime(2)
+    assert det_mod_prime(mat, [p]) == [bareiss_det(rows) % p]
+
+
+def assert_fronts_follow_their_rule(mat):
+    """Every row is a pivot of exactly one front; a front holds every later
+    row its pivots reach in A + A^T, and its update rows are pivots of its
+    ancestors; every entry of the matrix goes to exactly one front."""
+    n = len(mat.ptr) - 1
+    order, _ = linalg._dissection(linalg._pattern(mat))
+    assert sorted(order) == list(range(n))
+    fronts = linalg._fronts(mat)
+    pivots = [index[:s].tolist() for index, s, _, _, _ in fronts]
+    assert sorted(sum(pivots, [])) == list(range(n))
+    parent = {c: t for t, front in enumerate(fronts) for c, _ in front[4]}
+    pattern = linalg._pattern(linalg._permuted(mat, order))
+    for t, (index, s, _, _, _) in enumerate(fronts):
+        end = pivots[t][-1] + 1
+        reach = pattern.cols[pattern.ptr[pivots[t][0]]:pattern.ptr[end]]
+        assert set(reach[reach >= end].tolist()) <= set(index.tolist())
+        above, a = set(), t
+        while a in parent:
+            a = parent[a]
+            above.update(pivots[a])
+        assert set(index[s:].tolist()) <= above
+    assert sum(len(front[3]) for front in fronts) == len(mat.vals)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fronts_follow_their_rule_on_fixture_layers(name):
+    spec = fixture_spec(name)
+    for n in range(1, 4):
+        assert_fronts_follow_their_rule(linalg._csr(reduced_laplacian(derived_graph(spec, n).graph)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_fronts_follow_their_rule_on_random_patterns(seed):
+    # edges only inside a few groups, so several components and isolated
+    # vertices; A and A^T drawn apart, and about half the diagonal set
+    rng = random.Random(seed)
+    n = rng.randint(1, 60)
+    group = [rng.randrange(rng.randint(1, 6)) for _ in range(n)]
+    density = rng.choice((0.03, 0.1, 0.3))
+    pattern = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            pattern[i, j] = rng.random() < 0.5 if i == j else group[i] == group[j] and rng.random() < density
+    assert_fronts_follow_their_rule(linalg._csr(pattern))
