@@ -4,20 +4,19 @@ Everything returned from this module is exact.  Floating point shows up only
 inside the determinant bound for the modular determinant, where it is
 padded conservatively before being used to pick how many primes to take.
 
-The modular determinant reads its input once into compressed sparse rows
-(CSR) and builds no other n x n array.  det_exact_modular orders it by
-reverse Cuthill-McKee of the pattern of A + A^T, whose envelope (George
-and Liu 1981, ch. 4), w + 1 rows per step, sizes the primes: the
-lazy-reduction guard bounds the products an entry absorbs between
-reductions by w + 1, so the limit is on the band, not on n, and the primes
-are as wide as the band allows, 2^28 to 2^29 on tower layers, never below
-2^25.  det_mod_prime eliminates a batch of primes at once, front by front
-in nested-dissection order, without pivoting.  A prime goes to banded
-elimination with row swaps only when a pivot vanishes modulo it beside a
-live row and column: on a connected layer, when it divides a leading
-minor, which no fixture layer shows; the tests' small primes, zero
-diagonals and non-symmetric input do it often.  Passes fit the banded
-strips, 2w + 1 rows high, in 32 MB; a layer's fronts take less.
+The modular determinant takes reduced Laplacians: symmetric, weakly
+diagonally dominant, with a nonnegative diagonal, and refuses any other
+matrix with a ValueError that says which condition fails.  It reads its
+input once into compressed sparse rows (CSR) and builds no other n x n
+array.  One symbolic phase orders the pattern of A + A^T by nested
+dissection and lists its fronts; det_mod_prime eliminates a batch of
+primes at once, front by front, without pivoting.  An entry absorbs at
+most one product per pivot of its front before the front passes it on
+reduced, so the largest front sizes the primes, 2^27.5 to 2^30.2 on the
+fixture layers and never below 2^25, and the live fronts and update
+blocks size the passes, as few as fit 32 MB.  A prime whose pivot
+vanishes beside a live row and column fails; on this domain that happens
+only when it divides a leading minor, and the next prime replaces it.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ def solve_linear_fractions(matrix, rhs):
 
 
 _MOD_PRIME_BITS = 25  # entries are below 2^25, and so are the narrowest CRT primes
-_PASS_BYTES = 32 << 20  # strip memory of one det_mod_prime pass from det_exact_modular
+_PASS_BYTES = 32 << 20  # front memory of one det_mod_prime pass from det_exact_modular
 
 
 class _Csr(NamedTuple):
@@ -212,95 +211,11 @@ def _permuted(mat: _Csr, order) -> _Csr:
     return _Csr(_pointers(rows, n), cols[at], mat.vals[at])
 
 
-def _prime_ceiling(height: int) -> int:
-    """Largest p with height (p - 1)^2 + 2^25 < 2^62: between two refills an
-    entry starts below 2^25 in absolute value and absorbs at most height
-    products below (p - 1)^2."""
-    return math.isqrt(((1 << 62) - (1 << _MOD_PRIME_BITS) - 1) // height) + 1
-
-
-def _envelope(mat: _Csr):
-    """Elimination bounds of a square matrix, read from its nonzero pattern.
-
-    rows_to[k] is the largest of k and the rows whose first nonzero is at
-    or before column k, so no row below it is nonzero in column k at step
-    k.  cols_to[k] is the largest of k and the last nonzeros of the rows up
-    to rows_to[k], so no row the step touches reaches past it.  Row swaps
-    stay inside k..rows_to[k] and an update only merges row extents, so
-    both bounds hold under any pivoting; a band of width w has rows_to[k]
-    <= k + w and cols_to[k] <= k + 2w.  Also returns the window height
-    w + 1 = max(rows_to[k] - k) + 1, which is the number of steps per
-    strip, and the (rows, columns) shape of the strip, min(2w + 1, n) by
-    min(w + max(cols_to[k] - k) + 1, n).  A zero row counts as starting at
-    column n and ending at column -1.
-    """
-    n = len(mat.ptr) - 1
-    full = mat.ptr[1:] > mat.ptr[:-1]
-    first = np.full(n, n)
-    last = np.full(n, -1)
-    first[full] = mat.cols[mat.ptr[:-1][full]]
-    last[full] = mat.cols[mat.ptr[1:][full] - 1]
-    steps = np.arange(n)
-    lowest = np.full(n + 1, -1)
-    np.maximum.at(lowest, first, steps)
-    rows_to = np.maximum(np.maximum.accumulate(lowest[:n]), steps)
-    cols_to = np.maximum(np.maximum.accumulate(last)[rows_to], steps)
-    height = int((rows_to - steps).max(initial=0)) + 1
-    width = int((cols_to - steps).max(initial=0)) + 1
-    return rows_to, cols_to, height, (min(2 * height - 1, n), min(height + width - 1, n))
-
-
-def _banded(mat: _Csr, primes: list[int]) -> list[int]:
-    """Determinants of a CSR integer matrix modulo primes its band guard
-    admits, for those det_mod_prime fails: elimination with row swaps in
-    the envelope.  Step k searches its pivot in rows k..R_k and updates
-    rows k+1..R_k up to the pivot row's last nonzero column, inside C_k;
-    a strip of (strip rows, strip columns, primes) holds the active rows
-    and every w + 1 steps moves them up, reduced, and takes fresh rows raw.
-    Each step reduces only the pivot column and row, so an entry absorbs at
-    most w + 1 products between refills.
-    """
-    n = len(mat.ptr) - 1
-    rows_to, cols_to, height, shape = _envelope(mat)
-    ps = np.array(primes, dtype=np.int64)
-    each = np.arange(len(primes))
-    strip = np.empty(shape + (len(primes),), dtype=np.int64)
-    det = np.ones(len(primes), dtype=np.int64)
-    rows = mat.rows()
-    for s in range(0, n, height):
-        kept = max(int(rows_to[s - 1]) - s + 1, 0) if s else 0
-        # no step of this strip reads a row past rows_to of its last step,
-        # and those rows end by column s + nc
-        nr, nc = int(rows_to[min(s + height, n) - 1]) - s + 1, min(shape[1], n - s)
-        if kept:
-            # touched rows reach no further than cols_to[s - 1], inside the old strip
-            m = min(shape[1] - height, nc)
-            np.remainder(strip[height:height + kept, height:height + m], ps, out=strip[:kept, :m])
-            strip[:kept, m:nc] = 0
-        strip[kept:nr, :nc] = 0
-        # rows past rows_to[s - 1] have no nonzero left of column s
-        fresh = slice(mat.ptr[s + kept], mat.ptr[s + nr])
-        strip[rows[fresh] - s, mat.cols[fresh] - s] = mat.vals[fresh, None]
-        for k in range(s, min(s + height, n)):
-            j = k - s
-            low, right = int(rows_to[k]) - s + 1, int(cols_to[k]) - s + 1
-            col = strip[j:low, j]
-            col %= ps
-            lead = (col != 0).argmax(axis=0)
-            if lead.any():
-                pivot_rows = strip[j + lead, j:right, each]
-                strip[j + lead, j:right, each] = strip[j, j:right].T
-                strip[j, j:right] = pivot_rows.T
-                det[lead != 0] *= -1
-            row = strip[j, j:right]
-            row %= ps
-            det = det * row[0] % ps
-            if low > j + 1:
-                inv = [pow(x, -1, p) if x else 0 for x, p in zip(row[0].tolist(), primes)]
-                factors = col[1:] * np.array(inv, dtype=np.int64) % ps
-                right -= int(row.any(axis=1)[::-1].argmax())
-                strip[j + 1:low, j + 1:right] -= factors[:, None] * row[1:right - j]
-    return (det % ps).tolist()
+def _prime_ceiling(pivots: int) -> int:
+    """Largest p with pivots (p - 1)^2 + 2^25 < 2^62: an entry starts below
+    2^25 in absolute value, plus residues that its children add, and absorbs
+    at most one product below (p - 1)^2 per pivot of its front."""
+    return math.isqrt(((1 << 62) - (1 << _MOD_PRIME_BITS) - 1) // pivots) + 1
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -383,17 +298,34 @@ def _dissection(pattern: _Csr) -> tuple[list[int], list[int]]:
     return [v for f in fronts for v in f], np.cumsum([len(f) for f in fronts]).tolist()
 
 
-def _fronts(mat: _Csr) -> list[tuple]:
+class _Fronts(NamedTuple):
+    """The symbolic phase of a matrix, all that det_mod_prime reads of it.
+
+    ``fronts`` lists every front as (index, pivots, at, vals, children), in
+    the order they are eliminated (see ``_fronts``).  ``pivots`` is the
+    most pivots of one front, the lazy-reduction cadence that sizes the
+    primes.  ``peak`` bounds the bytes per prime that det_mod_prime holds
+    at once: a front, one temporary no larger (its first rank-1 update, or
+    a child's block being placed), and every update block still waiting
+    for its parent, the front's children included.
+    """
+
+    fronts: list[tuple]
+    pivots: int
+    peak: int
+
+
+def _fronts(mat: _Csr) -> _Fronts:
     """The symbolic phase: the fronts of ``mat``, rows renumbered in the
-    nested-dissection order of the pattern of A + A^T, each as (index,
-    pivots, at, vals, children).  The dense front holds rows and columns
-    ``index``, increasing: ``pivots`` pivot rows, then the later rows its
-    pivots reach in the pattern or in its children's update rows.  The
-    matrix entries ``vals`` go to its flat positions ``at``: each entry, at
-    its own row and column, to the front that pivots its earlier row or
-    column, so pivot columns are read from A^T, not mirrored.  Each (child,
-    positions) pair in ``children`` places a child's update block; a
-    front's parent pivots the first of its update rows.
+    nested-dissection order of the pattern of A + A^T.  Each front is
+    (index, pivots, at, vals, children).  The dense front holds rows and
+    columns ``index``, increasing: ``pivots`` pivot rows, then the later
+    rows its pivots reach in the pattern or in its children's update rows.
+    The matrix entries ``vals`` go to its flat positions ``at``: each
+    entry, at its own row and column, to the front that pivots its earlier
+    row or column, so pivot columns are read from A^T, not mirrored.  Each
+    (child, positions) pair in ``children`` places a child's update block;
+    a front's parent pivots the first of its update rows.
     """
     order, ends = _dissection(_pattern(mat))
     mat = _permuted(mat, order)
@@ -404,12 +336,15 @@ def _fronts(mat: _Csr) -> list[tuple]:
     by, cuts = np.argsort(owner, kind="stable"), _pointers(owner, len(ends))
     upds, fronts = [], []
     children = [[] for _ in ends]
+    pending = peak = 0  # entries per prime of the update blocks not yet taken
     for t, (start, end) in enumerate(zip([0] + ends, ends)):
         reach = [pattern.cols[pattern.ptr[start]:pattern.ptr[end]]] + [upds[c] for c in children[t]]
         upd = _distinct(np.concatenate(reach))
         upd = upd[upd >= end]
         index = np.concatenate((np.arange(start, end), upd))
         f = len(index)
+        peak = max(peak, 2 * f * f + pending)
+        pending += len(upd) ** 2 - sum(len(upds[c]) ** 2 for c in children[t])
         e = by[cuts[t]:cuts[t + 1]]
         at = np.searchsorted(index, rows[e]) * f + np.searchsorted(index, cols[e])
         locs = [(c, np.searchsorted(index, upds[c])) for c in children[t]]
@@ -418,43 +353,45 @@ def _fronts(mat: _Csr) -> list[tuple]:
             children[front_of[upd[0]]].append(t)
         upds.append(upd)
         fronts.append((index, end - start, at, mat.vals[e], into))
-    return fronts
+    return _Fronts(fronts, int(np.diff([0] + ends).max(initial=1)), 8 * peak)
 
 
-def det_mod_prime(mat, primes) -> list[int]:
+def det_mod_prime(mat, primes) -> list[int | None]:
     """Determinants of an integer matrix modulo each of a sequence of primes.
 
-    ``mat`` is the CSR copy det_exact_modular makes, or a dense array, which
-    is converted the same way.  One multifrontal elimination over F_p for
-    all the primes at once (Duff and Reid 1983), with no pivoting: the
-    determinant is the product of the pivots.  A front is an int64 array
-    of shape (f, f, primes), primes innermost so that each row update is
-    one contiguous run; it takes its entries and its children's update
-    blocks, eliminates its pivots by rank-1 steps, and passes its trailing
-    block on, reduced modulo p.  A vanishing pivot whose column or row in
-    the front vanishes too makes the matrix singular modulo p, residue 0;
-    any other fails its prime, which ``_banded`` redoes.
+    ``mat`` is the symbolic record ``_fronts`` builds, as det_exact_modular
+    passes it, or a dense array, which is read the same way.  One
+    multifrontal elimination over F_p for all the primes at once (Duff and
+    Reid 1983), with no pivoting: the determinant is the product of the
+    pivots.  A front is an int64 array of shape (f, f, primes), primes
+    innermost so that each row update is one contiguous run; it takes its
+    entries and its children's update blocks, eliminates its pivots by
+    rank-1 steps, and passes its trailing block on, reduced modulo p.  A
+    vanishing pivot whose column or row in the front vanishes too makes
+    the matrix singular modulo p, residue 0.  Any other vanishing pivot
+    fails its prime, whose entry is None: on a reduced Laplacian that
+    happens only when p divides a leading minor, and det_exact_modular
+    replaces the prime.
 
-    Each step reduces only the pivot column and row, and a front reduces
-    its trailing block every w + 1 steps (w + 1 the envelope height), so
-    an entry, below 2^25 in absolute value (as in ``mat``) plus added
-    residues, absorbs at most w + 1 products below p^2 between reductions.
-    The guard refuses (w + 1)(p - 1)^2 + 2^25 >= 2^62: w + 1 up to 4096
-    at every p < 2^25, p up to 2^28 at w + 1 = 64; n does not enter.
+    Each step reduces only the pivot column and row, and every front
+    starts from raw entries and reduced update blocks, so an entry absorbs
+    at most one product below p^2 per pivot of its front.  With m the most
+    pivots of one front, a prime p with m (p - 1)^2 + 2^25 >= 2^62 is
+    refused: m up to 4096 admits every p < 2^25, and m = 64 admits p up to
+    2^28; n does not enter.
     """
     primes = [int(p) for p in primes]
     if isinstance(mat, np.ndarray):
-        mat = _csr(mat)
-    height = _envelope(mat)[2]
+        mat = _fronts(_csr(mat))
     top = max(primes)
-    if top > _prime_ceiling(height):
+    if top > _prime_ceiling(mat.pivots):
         raise ValueError(
-            f"band too wide for lazy-reduction elimination: {height} rows per step at p = {top}")
+            f"front too large for lazy-reduction elimination: {mat.pivots} pivots at p = {top}")
     ps = np.array(primes, dtype=np.int64)
     det = np.ones(len(primes), dtype=np.int64)
     failed = np.zeros(len(primes), dtype=bool)
     pending = {}
-    for t, (index, s, at, vals, children) in enumerate(_fronts(mat)):
+    for t, (index, s, at, vals, children) in enumerate(mat.fronts):
         f = len(index)
         block = np.zeros((f * f, len(primes)), dtype=np.int64)
         block[at] = vals[:, None]
@@ -462,8 +399,6 @@ def det_mod_prime(mat, primes) -> list[int]:
             block[into] += pending.pop(c)
         block = block.reshape(f, f, len(primes))
         for k in range(s):
-            if k and k % height == 0:
-                block[k:, k:] %= ps
             col = block[k:, k]
             col %= ps
             row = block[k, k + 1:]
@@ -477,122 +412,85 @@ def det_mod_prime(mat, primes) -> list[int]:
                 block[k + 1:, k + 1:] -= (col[1:] * inv % ps)[:, None] * row
         if s < f:
             pending[t] = (block[s:, s:] % ps).reshape(-1, len(primes))
-    redo = np.flatnonzero(failed)
-    if len(redo):
-        det[redo] = _banded(mat, ps[redo].tolist())
-    return (det % ps).tolist()
-
-
-def _rcm_order(adjacency: _Csr) -> list[int]:
-    """Reverse Cuthill-McKee order of a symmetric pattern, given as CSR.
-
-    Breadth-first search from a least-degree vertex of each component,
-    taking neighbours by increasing degree, then reversed (Cuthill and
-    McKee 1969; George and Liu 1981).  A degree is the number of nonzeros
-    in a row, the diagonal included; ties go to the lower index, and the
-    components come in the order of their starting vertices.  It reads the
-    pattern only: ``adjacency.ptr`` and ``adjacency.cols``.
-    """
-    degree = np.diff(adjacency.ptr)
-    rows, cols = adjacency.rows(), adjacency.cols
-    # every row's neighbours, already in the order the search takes them
-    nbrs = cols[np.lexsort((cols, degree[cols], rows))].tolist()
-    cuts = adjacency.ptr.tolist()
-    seen = [False] * len(degree)
-    order = []
-    head = 0
-    for start in np.argsort(degree, kind="stable").tolist():
-        if seen[start]:
-            continue
-        seen[start] = True
-        order.append(start)
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for u in nbrs[cuts[v]:cuts[v + 1]]:
-                if not seen[u]:
-                    seen[u] = True
-                    order.append(u)
-    return order[::-1]
+        del block, col, row  # the front and its views, before the next is allocated
+    return [None if bad else r for bad, r in zip(failed.tolist(), (det % ps).tolist())]
 
 
 def _log2_det_bound(mat: _Csr) -> float:
-    """log2 of a bound on |det| of a matrix with no zero row.
+    """log2 of prod a_ii, which bounds det, or -inf when a row is zero.
 
-    Hadamard's, the product of the row norms, unless the matrix is
-    symmetric and weakly diagonally dominant with a nonnegative diagonal:
-    then it is positive semidefinite by Gershgorin, and det <= prod a_ii
-    (Hadamard-Fischer).
+    The modular determinant's domain is that of reduced Laplacians:
+    symmetric and weakly diagonally dominant with a nonnegative diagonal,
+    so positive semidefinite by Gershgorin, where det <= prod a_ii
+    (Hadamard-Fischer).  Refuses any other matrix with a ValueError naming
+    the condition it breaks.  In the domain a zero diagonal entry leaves
+    its row zero.
     """
     rows, cols, vals = mat.rows(), mat.cols, mat.vals
-    starts = mat.ptr[:-1]  # every row is nonempty, as reduceat needs
     at = np.lexsort((rows, cols))  # the entries of the transpose, row by row
     symmetric = (cols[at] == rows).all() and (rows[at] == cols).all() and (vals[at] == vals).all()
-    diag = np.zeros(len(starts), dtype=np.int64)
+    diag = np.zeros(len(mat.ptr) - 1, dtype=np.int64)
     on = rows == cols
     diag[rows[on]] = vals[on]
-    # 2 a_ii >= sum_j |a_ij| says a_ii >= 0 and a_ii >= sum_{j != i} |a_ij|
-    if symmetric and (2 * diag >= np.add.reduceat(np.abs(vals), starts)).all():
-        return float(np.log2(diag).sum())
-    squares = vals.astype(np.float64) ** 2
-    return 0.5 * float(np.log2(np.add.reduceat(squares, starts)).sum())
+    # sum_j |a_ij| per row; 2 a_ii >= it says a_ii >= sum_{j != i} |a_ij|
+    abs_sums = np.diff(np.concatenate(([0], np.cumsum(np.abs(vals))))[mat.ptr])
+    for broken, why in (
+            (not symmetric, "is not symmetric"),
+            ((diag < 0).any(), "has a negative diagonal entry"),
+            ((2 * diag < abs_sums).any(), "is not weakly diagonally dominant")):
+        if broken:
+            raise ValueError(f"matrix {why}; the modular determinant takes reduced Laplacians")
+    if not diag.all():
+        return -math.inf
+    return float(np.log2(diag).sum())
 
 
 def det_exact_modular(rows) -> int:
-    """Exact determinant of an integer matrix by CRT over band-sized primes.
+    """Exact determinant of a reduced Laplacian by CRT over front-sized primes.
 
     ``rows`` is an int64 array or any sequence of integer rows, with
-    entries below 2^25 in absolute value.  It is read once into a CSR copy,
-    row pointers, column indices and int64 values, and no other n x n array
-    is built: memory is O(nonzeros + the pass budget) beside the caller's
+    entries below 2^25 in absolute value, in the domain ``_log2_det_bound``
+    checks.  It is read once into a CSR copy and no other n x n array is
+    built: memory is O(nonzeros + the pass budget) beside the caller's
     input, which goes once it is read unless the caller still holds it.
-    The matrix is permuted symmetrically by the reverse Cuthill-McKee order
-    of the pattern of A + A^T, which narrows the envelope that sizes the
-    primes and the fallback's strips and leaves the determinant alone.
-    The number of primes is chosen so their product exceeds twice a bound
-    on |det| (see ``_log2_det_bound``), which makes the centered CRT lift
-    exact; this is a deterministic computation, not a probabilistic one.
-    The primes are the largest that det_mod_prime's guard admits for the
-    envelope height w + 1, and no narrower than 2^25, so a wide band is
-    refused there rather than run on small primes.  The prime list is
-    built first and goes to det_mod_prime in one pass when the banded
-    strips of all primes fit in a fixed budget of 32 MB; otherwise in the
-    fewest passes that fit, with pass sizes differing by at most one.
+    The symbolic phase runs once.  The primes are the widest that
+    det_mod_prime's guard admits for its largest front, and no narrower
+    than 2^25, so a front past about 4096 pivots is refused there.  They
+    are drawn until their product passes 2^8 prod a_ii, over twice |det|,
+    so the centered CRT lift is exact: deterministic, not probabilistic.
+    A prime det_mod_prime fails is dropped and drawing goes on; on this
+    domain only the finitely many primes dividing a leading minor fail.
+    Each draw runs in the fewest passes whose live fronts and update
+    blocks fit 32 MB, with pass sizes differing by at most one.
     """
     n = len(rows)
     if n == 0:
         return 1
     mat = _csr(rows)
     del rows  # so that the caller's dense array can go now
-    if not np.diff(mat.ptr).all():
-        return 0  # a zero row
     target = _log2_det_bound(mat) + 8.0  # float slop + the factor of 2 for the signed lift
-    mat = _permuted(mat, _rcm_order(_pattern(mat)))
-
-    _, _, height, shape = _envelope(mat)
-    primes = []
-    got = 0.0
+    if target == -math.inf:
+        return 0  # a zero row
+    sym = _fronts(mat)
+    fits = max(1, _PASS_BYTES // sym.peak)
     # the largest odd number at or below the ceiling, 2^25 - 1 at the least
-    c = (max(_prime_ceiling(height), 1 << _MOD_PRIME_BITS) - 1) | 1
-    while got < target:
-        while not is_prime(c):
+    c = (max(_prime_ceiling(sym.pivots), 1 << _MOD_PRIME_BITS) - 1) | 1
+    x, modulus = 0, 1
+    while math.log2(modulus) < target:
+        primes, got = [], math.log2(modulus)
+        while got < target:
+            while not is_prime(c):
+                c -= 2
+            primes.append(c)
+            got += math.log2(c)
             c -= 2
-        primes.append(c)
-        got += math.log2(c)
-        c -= 2
-    fits = max(1, _PASS_BYTES // (8 * shape[0] * shape[1]))
-    passes = -(-len(primes) // fits)
-    cuts = [i * len(primes) // passes for i in range(passes + 1)]
-    residues = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        residues += det_mod_prime(mat, primes[lo:hi])
-
-    x = 0
-    modulus = 1
-    for p, r in zip(primes, residues):
-        t = (r - x) * pow(modulus, -1, p) % p
-        x += modulus * t
-        modulus *= p
+        passes = -(-len(primes) // fits)
+        cuts = [i * len(primes) // passes for i in range(passes + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            for p, r in zip(primes[lo:hi], det_mod_prime(sym, primes[lo:hi])):
+                if r is not None:
+                    x += modulus * ((r - x) * pow(modulus, -1, p) % p)
+                    modulus *= p
     if x > modulus // 2:
         x -= modulus
     return x

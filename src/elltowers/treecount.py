@@ -4,14 +4,15 @@ Delete a row and the matching column of the Laplacian D - A and take the
 determinant: that is the number of spanning trees, and 0 exactly when the
 graph is disconnected.  Loops cancel between D and A and contribute
 nothing.  The reduced Laplacian is an int64 array built from the edge
-pairs, and every one goes through ``linalg.det_exact_modular``: CRT over
-primes sized by the band of its reverse Cuthill-McKee order, each residue
-from multifrontal elimination in nested-dissection order of its nonzero
-pattern alone (no voltage, group or character data), in memory
-O(nonzeros + 32 MB) beside this array.  It is exact: a reduced Laplacian
-is symmetric and diagonally dominant, so the product of its diagonal
-bounds the prime count.  Fraction-free Bareiss elimination stays in
-``linalg`` as the oracle it is checked against, off this path.
+pairs, and every one goes through ``linalg.det_exact_modular``, whose
+domain is exactly such matrices: symmetric, weakly diagonally dominant,
+with a nonnegative diagonal.  The product of the diagonal bounds the
+prime count; the largest front of a multifrontal elimination in
+nested-dissection order of the nonzero pattern alone (no voltage, group
+or character data) sizes the primes, in memory O(nonzeros + 32 MB)
+beside this array; a prime that divides a leading minor is replaced by
+the next.  Fraction-free Bareiss elimination stays in ``linalg`` as the
+oracle it is checked against, off this path.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -160,7 +161,7 @@ def test_modular_determinant_agrees_with_bareiss(seed):
     assert det_exact_modular(lap) == bareiss_det(lap)
 
 
-# small primes make zero pivots, and so row swaps inside the band, common
+# small primes make zero pivots, and so failed primes, common
 PRIMES = (2, 3, 5, 7, 33554393)
 WIDEST_ENTRY = (1 << 25) - 1  # the largest entry the modular path takes
 
@@ -186,16 +187,29 @@ def banded_case(rng, n, kind):
     return rows
 
 
+def in_domain(rows):
+    """Symmetric, weakly diagonally dominant, with a nonnegative diagonal."""
+    n = len(rows)
+    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n)) and all(
+        2 * rows[i][i] >= sum(abs(x) for x in rows[i]) for i in range(n))
+
+
 def assert_banded_agrees(rows, rng):
+    """On the matrix and on a symmetric permutation of it, det_mod_prime
+    gives exact % p or None at each prime, never a wrong residue, in one
+    call that mixes primes that kill a pivot column, primes that fail and
+    primes that do neither; det_exact_modular is exact in its domain and
+    refuses the matrix outside it."""
     exact = bareiss_det(rows)
-    assert det_exact_modular(rows) == exact
-    # one call mixes primes that kill a pivot column or force a swap with
-    # primes that do not
-    assert det_mod_prime(np.array(rows, dtype=np.int64), PRIMES) == [exact % p for p in PRIMES]
     perm = rng.sample(range(len(rows)), len(rows))
-    permuted = [[rows[i][j] for j in perm] for i in perm]
-    assert det_exact_modular(permuted) == exact
-    assert det_mod_prime(np.array(permuted, dtype=np.int64), PRIMES) == [exact % p for p in PRIMES]
+    for case in (rows, [[rows[i][j] for j in perm] for i in perm]):
+        got = det_mod_prime(np.array(case, dtype=np.int64), PRIMES)
+        assert all(r is None or r == exact % p for p, r in zip(PRIMES, got))
+        if in_domain(case):
+            assert det_exact_modular(case) == exact
+        else:
+            with pytest.raises(ValueError, match="the modular determinant takes reduced Laplacians"):
+                det_exact_modular(case)
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "non-symmetric", "singular", "zero-diagonal"])
@@ -216,22 +230,28 @@ def test_banded_determinant_beyond_bareiss_limit(seed, kind):
 
 
 def test_batch_mixes_swapped_and_unswapped_primes():
-    # the first pivot is 0 mod 3 only, so one batch swaps rows for p = 3
-    # and for no other prime; det = 7, so p = 7 gets residue 0
+    # the leading minors are 3, 5 and 7: one batch fails p = 3 and p = 5,
+    # whose pivots vanish beside a live row, gives p = 7 residue 0, where
+    # the last pivot vanishes, and gives p = 2 and the wide prime theirs
     rows = [[3, 1, 0], [1, 2, 1], [0, 1, 2]]
     assert bareiss_det(rows) == 7
+    assert det_mod_prime(np.array(rows), PRIMES) == [1, None, None, 0, 7]
+    assert det_exact_modular(rows) == 7
     assert_banded_agrees(rows, random.Random(0))
 
 
 def test_band_not_size_limits_elimination():
-    # 4100 rows is past what a guard on n would allow; the band is 1 wide
+    # 4100 rows is past what a guard on n would allow; no front is large
     n = 4100
     mat = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n)
     mat[i, i] = 2
     mat[i[1:], i[:-1]] = -1
     mat[i[:-1], i[1:]] = -1
-    assert det_mod_prime(mat, PRIMES) == [(n + 1) % p for p in PRIMES]
+    got = det_mod_prime(mat, PRIMES)
+    assert all(r is None or r == (n + 1) % p for p, r in zip(PRIMES, got))
+    assert got[-1] == (n + 1) % PRIMES[-1]
+    assert det_exact_modular(mat) == n + 1
 
 
 def test_modular_determinant_builds_no_n_squared_temporary():
@@ -253,15 +273,8 @@ def test_modular_determinant_builds_no_n_squared_temporary():
     assert peak < 2 << 20
 
 
-def test_band_too_wide_is_refused():
-    mat = np.eye(4097, dtype=np.int8)
-    mat[0, 4096] = mat[4096, 0] = 1
-    with pytest.raises(ValueError, match="band too wide"):
-        det_mod_prime(mat, PRIMES)
-
-
 def test_entries_past_2_25_are_refused():
-    # strips take raw entries, and the guard counts on them being below 2^25
+    # fronts take raw entries, and the guard counts on them being below 2^25
     for entry in (1 << 25, -(1 << 25)):
         with pytest.raises(ValueError, match="entries too large"):
             det_mod_prime(np.array([[entry]], dtype=np.int64), PRIMES)
@@ -300,75 +313,6 @@ def passes_taken(call):
         return call(), passes
 
 
-def bits_of_primes_used(rows):
-    """det_exact_modular(rows), checked against Bareiss, and log2 of the
-    product of the primes it took."""
-    det, passes = passes_taken(lambda: det_exact_modular(rows))
-    assert det == bareiss_det(rows)
-    return sum(math.log2(p) for primes in passes for p in primes)
-
-
-def rcm_reference(pattern):
-    """Reverse Cuthill-McKee as _rcm_order's docstring states it, in plain
-    Python: breadth-first from the unvisited vertex of least (degree, index),
-    neighbours taken by (degree, index), then reversed."""
-    n = len(pattern)
-    adj = [[j for j in range(n) if pattern[i][j]] for i in range(n)]
-    key = [(len(adj[v]), v) for v in range(n)]
-    order = []
-    for start in sorted(range(n), key=key.__getitem__):
-        if start in order:
-            continue
-        queue = [start]
-        for v in queue:  # a list grown while it is walked is a FIFO queue
-            queue += [u for u in sorted(adj[v], key=key.__getitem__) if u not in queue]
-        order += queue
-    return order[::-1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_rcm_order_follows_its_rule(seed):
-    # vertices fall into a few groups with edges only inside a group, so
-    # there are several components and isolated vertices; degrees are small,
-    # so ties are common; about half the diagonal is set
-    rng = random.Random(seed)
-    n = rng.randint(1, 60)
-    group = [rng.randrange(rng.randint(1, 6)) for _ in range(n)]
-    density = rng.choice((0.03, 0.1, 0.3))
-    pattern = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        pattern[i, i] = rng.random() < 0.5
-        for j in range(i):
-            if group[i] == group[j] and rng.random() < density:
-                pattern[i, j] = pattern[j, i] = True
-    assert linalg._rcm_order(linalg._csr(pattern)) == rcm_reference(pattern.tolist())
-
-
-def envelope_reference(rows):
-    """_envelope as its docstring states it, in plain Python."""
-    n = len(rows)
-    first = [min([j for j in range(n) if rows[i][j]], default=n) for i in range(n)]
-    last = [max([j for j in range(n) if rows[i][j]], default=-1) for i in range(n)]
-    rows_to = [max([k] + [i for i in range(n) if first[i] <= k]) for k in range(n)]
-    cols_to = [max([k] + last[:rows_to[k] + 1]) for k in range(n)]
-    height = max(r - k for k, r in enumerate(rows_to)) + 1
-    width = max(c - k for k, c in enumerate(cols_to)) + 1
-    return rows_to, cols_to, height, (min(2 * height - 1, n), min(height + width - 1, n))
-
-
-@pytest.mark.parametrize("kind", ["symmetric", "non-symmetric", "singular", "zero-diagonal"])
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_envelope_follows_its_rule(kind, seed):
-    rng = random.Random(seed)
-    rows = banded_case(rng, rng.randint(1, 40), kind)
-    perm = rng.sample(range(len(rows)), len(rows))
-    for case in (rows, [[rows[i][j] for j in perm] for i in perm]):
-        rows_to, cols_to, height, shape = linalg._envelope(linalg._csr(case))
-        assert (rows_to.tolist(), cols_to.tolist(), height, shape) == envelope_reference(case)
-
-
 PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
 PSI_13 = 3317044064679887385961981  # ... to the bases 2..41
 
@@ -386,15 +330,15 @@ def test_is_prime_refuses_numbers_past_its_exact_bound():
         linalg.is_prime(PSI_13)
 
 
-def guard_admits(height, p):
-    """Lazy reduction: an entry below 2^25 that absorbs height products
-    below (p - 1)^2 stays below 2^62."""
-    return height * (p - 1) ** 2 + (1 << 25) < 1 << 62
+def guard_admits(pivots, p):
+    """Lazy reduction: an entry below 2^25 that absorbs one product below
+    (p - 1)^2 per pivot of its front stays below 2^62."""
+    return pivots * (p - 1) ** 2 + (1 << 25) < 1 << 62
 
 
-def widest_admitted_prime(height):
-    p = math.isqrt((1 << 62) // height) + 2  # just past what the guard admits
-    while not (guard_admits(height, p) and linalg.is_prime(p)):
+def widest_admitted_prime(pivots):
+    p = math.isqrt((1 << 62) // pivots) + 2  # just past what the guard admits
+    while not (guard_admits(pivots, p) and linalg.is_prime(p)):
         p -= 1
     return p
 
@@ -406,43 +350,42 @@ def next_prime(p):
     return p
 
 
-# the widest admitted prime loses a bit at heights 4, 16, 64 and 256
-@pytest.mark.parametrize("height", [1, 3, 4, 15, 16, 18, 56, 63, 64, 65])
-def test_widest_primes_the_guard_admits(height):
-    rng = random.Random(height)
-    n = height + 2
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, min(n, i + height)):
-            rows[i][j] = rows[j][i] = rng.choice((-WIDEST_ENTRY, WIDEST_ENTRY))
-    det, passes = passes_taken(lambda: det_exact_modular(rows))
-    assert det == bareiss_det(rows)
+def complete_layer(pivots):
+    """The reduced Laplacian of K_(m+1) with every edge E-fold, E as large as
+    the entries allow, and its determinant E^m (m + 1)^(m - 1) (Cayley).
+    Its largest front has ``pivots`` pivots: with m = pivots rows, up to
+    _LEAF, the whole matrix is one leaf front; past it, with m = pivots + 1,
+    nested dissection takes one row as a leaf and the rest as a separator."""
+    m = pivots if pivots <= linalg._LEAF else pivots + 1
+    e = WIDEST_ENTRY // m
+    mat = np.full((m, m), -e, dtype=np.int64)
+    mat[np.arange(m), np.arange(m)] = m * e
+    assert linalg._fronts(linalg._csr(mat)).pivots == pivots
+    return mat, e**m * (m + 1) ** (m - 1)
+
+
+# the widest admitted prime loses a bit at 4, 16, 64 and 256 pivots
+@pytest.mark.parametrize("pivots", [1, 3, 4, 15, 16, 18, 56, 63, 64, 65])
+def test_widest_primes_the_guard_admits(pivots):
+    mat, det = complete_layer(pivots)
+    got, passes = passes_taken(lambda: det_exact_modular(mat))
+    assert got == det
     primes = [p for batch in passes for p in batch]
-    assert all(guard_admits(height, p) for p in primes)
-    top = widest_admitted_prime(height)
+    assert all(guard_admits(pivots, p) for p in primes)
+    top = widest_admitted_prime(pivots)
     assert max(primes) == top
     above = next_prime(top)
-    assert not guard_admits(height, above)
-    with pytest.raises(ValueError, match="band too wide"):
-        det_mod_prime(np.array(rows, dtype=np.int64), [above])
+    assert not guard_admits(pivots, above)
+    with pytest.raises(ValueError, match="front too large"):
+        det_mod_prime(mat, [above])
 
 
-@pytest.mark.parametrize("n", [255, 256])
-def test_widest_primes_the_guard_admits_past_bareiss_size(n):
-    # an arrow, the diagonal plus the last row and column: that row starts in
-    # column 0, so the band is n rows high, and its last entry absorbs one
-    # product per step.  With a_ii = s_i E, a_i,n-1 = a_n-1,i = t_i E and
-    # a_n-1,n-1 = u E (signs s, t, u), the Schur complement of the diagonal
-    # block gives det = E^n (prod s_i)(u - sum s_i).
-    rng = random.Random(n)
-    s, t = (np.array([rng.choice((-1, 1)) for _ in range(n - 1)]) for _ in range(2))
-    u = rng.choice((-1, 1))
-    mat = np.diag(np.append(s, u)) * WIDEST_ENTRY
-    mat[-1, :-1] = mat[:-1, -1] = t * WIDEST_ENTRY
-    det = WIDEST_ENTRY**n * math.prod(s.tolist()) * (u - int(s.sum()))
-    top = widest_admitted_prime(n)
+@pytest.mark.parametrize("pivots", [255, 256])
+def test_widest_primes_the_guard_admits_past_bareiss_size(pivots):
+    mat, det = complete_layer(pivots)
+    top = widest_admitted_prime(pivots)
     assert det_mod_prime(mat, [top]) == [det % top]
-    with pytest.raises(ValueError, match="band too wide"):
+    with pytest.raises(ValueError, match="front too large"):
         det_mod_prime(mat, [next_prime(top)])
 
 
@@ -455,17 +398,58 @@ def test_layer_of_728_rows_takes_one_elimination_pass():
 
 
 def test_primes_are_shared_out_evenly_when_strips_do_not_fit():
-    # dense upper triangular: the row-norm bound needs 84 primes of 28 bits,
-    # and a 90 x 90 strip leaves room for 64 per pass in 4 MB, so 42 + 42,
-    # not 64 + 20
-    rng = random.Random(11)
-    n = 90
-    rows = [[rng.randint(1, 2**24 - 1) if j >= i else 0 for j in range(n)] for i in range(n)]
-    with mock.patch.object(linalg, "_PASS_BYTES", 4 << 20):
-        det, passes = passes_taken(lambda: det_exact_modular(rows))
-    assert det == math.prod(rows[i][i] for i in range(n))
+    # the 255-row layer of bouquet2_ell2 under a budget that fits the
+    # fronts of 7 primes: the fewest passes that fit, sizes differing by
+    # at most one, and one symbolic phase for all of them
+    spec = fixture_spec("bouquet2_ell2")
+    lap = reduced_laplacian(derived_graph(spec, 4).graph)
+    peak = linalg._fronts(linalg._csr(lap)).peak
+    with mock.patch.object(linalg, "_PASS_BYTES", 7 * peak + 1), \
+            mock.patch.object(linalg, "_fronts", wraps=linalg._fronts) as fronts:
+        det, passes = passes_taken(lambda: det_exact_modular(lap))
+    assert det == TowerCalculator(spec).kappa_exact(4)
+    assert fronts.call_count == 1
     sizes = [len(primes) for primes in passes]
-    assert len(sizes) > 1 and max(sizes) - min(sizes) <= 1
+    assert len(sizes) == -(-sum(sizes) // 7) > 1
+    assert max(sizes) <= 7 and max(sizes) - min(sizes) <= 1
+
+
+def test_peak_bounds_what_a_pass_allocates():
+    # 32 primes on the 728-row layer: det_mod_prime's allocations, as
+    # tracemalloc sees them, stay under the record's peak per prime, up to
+    # numpy's fixed buffers
+    lap = reduced_laplacian(derived_graph(fixture_spec("bouquet2_ell3"), 3).graph)
+    record = linalg._fronts(linalg._csr(lap))
+    candidates = range(linalg._prime_ceiling(record.pivots), 0, -1)
+    primes = list(itertools.islice(filter(linalg.is_prime, candidates), 32))
+    tracemalloc.start()
+    try:
+        det_mod_prime(record, primes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(primes) * record.peak + (256 << 10)
+
+
+def test_failed_prime_is_replaced():
+    # the reduced Laplacian of a multigraph on vertices 0 (dropped) to 3:
+    # x - 1 edges 0-1, z - 2 edges 0-2, and single edges 1-2 and 2-3.  Its
+    # one front pivots the rows in order, and x z = 1 mod p makes the
+    # second leading minor x z - 1 vanish mod the first prime drawn, with
+    # row 3 still live, so that prime fails; det = x z - 1 - x does not
+    p = widest_admitted_prime(3)
+    x = next(x for x in range(WIDEST_ENTRY, 1, -1) if 2 <= pow(x, -1, p) <= WIDEST_ENTRY)
+    z = pow(x, -1, p)
+    rows = [[x, -1, 0], [-1, z, -1], [0, -1, 1]]
+    assert det_mod_prime(np.array(rows), [p]) == [None]
+    with mock.patch.object(linalg, "_fronts", wraps=linalg._fronts) as fronts:
+        det, passes = passes_taken(lambda: det_exact_modular(rows))
+    assert det == bareiss_det(rows) == x * z - 1 - x
+    assert fronts.call_count == 1
+    primes = [q for batch in passes for q in batch]
+    assert primes[0] == p
+    # the primes that did not fail still pass the bound on |det|
+    assert sum(math.log2(q) for q in primes[1:]) >= math.log2(x * z) + 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -493,19 +477,23 @@ def test_diagonally_dominant_symmetric_takes_diagonal_bound(seed):
         assert diagonal + 8 <= bits < diagonal + 8 + max(primes).bit_length()
 
 
-@pytest.mark.parametrize("block, copies", [
-    ([[1, 1], [-1, 1]], 40),  # dominant but not symmetric: det 2^40
-    ([[1, 2**24 - 1], [2**24 - 1, 1]], 3),  # symmetric but not dominant
-], ids=["non-symmetric", "non-dominant"])
-def test_other_matrices_keep_row_norm_bound(block, copies):
+@pytest.mark.parametrize("block, copies, why", [
+    ([[1, 1], [-1, 1]], 40, "not symmetric"),
+    ([[1, 2**24 - 1], [2**24 - 1, 1]], 3, "not weakly diagonally dominant"),
+    ([[-1, 0], [0, 1]], 2, "negative diagonal entry"),
+], ids=["non-symmetric", "non-dominant", "negative-diagonal"])
+def test_other_matrices_keep_row_norm_bound(block, copies, why):
+    # outside the domain the modular determinant is refused, before any
+    # elimination, with the condition that fails
     n = 2 * copies
     rows = [[0] * n for _ in range(n)]
     for c in range(copies):
         for i in range(2):
             for j in range(2):
                 rows[2 * c + i][2 * c + j] = block[i][j]
-    hadamard = sum(0.5 * math.log2(sum(x * x for x in r)) for r in rows)
-    assert bits_of_primes_used(rows) >= hadamard + 8
+    with mock.patch.object(linalg, "det_mod_prime", side_effect=AssertionError("eliminated")), \
+            pytest.raises(ValueError, match=why):
+        det_exact_modular(rows)
 
 
 @settings(max_examples=10, deadline=None)
@@ -513,7 +501,7 @@ def test_other_matrices_keep_row_norm_bound(block, copies):
 def test_multifrontal_residues_on_derived_layers_agree_with_bareiss(seed):
     # a connected layer's reduced Laplacian is positive definite, so no
     # pivot vanishes over Q, and at primes past 2^25 none vanishes here
-    # modulo p: the banded routine is never entered
+    # modulo p: no prime fails
     rng = random.Random(seed)
     while True:
         spec = random_connected_spec(rng, max_vertices=4, d=rng.choice((1, 2)))
@@ -530,46 +518,44 @@ def test_multifrontal_residues_on_derived_layers_agree_with_bareiss(seed):
         residues.extend(zip(primes, got))
         return got
 
-    with mock.patch.object(linalg, "det_mod_prime", spy), \
-            mock.patch.object(linalg, "_banded", side_effect=AssertionError("banded routine entered")):
+    with mock.patch.object(linalg, "det_mod_prime", spy):
         assert det_exact_modular(lap) == exact
     assert residues and residues == [(p, exact % p) for p, _ in residues]
 
 
 def test_vanishing_pivot_falls_back_only_when_its_column_and_row_live():
     # [[2, 1], [1, 2]]: the pivot 2 vanishes mod 2 beside a live column, so
-    # p = 2 goes to the banded routine and p = 5 does not; det = 3
-    with mock.patch.object(linalg, "_banded", wraps=linalg._banded) as banded:
-        assert det_mod_prime(np.array([[2, 1], [1, 2]]), [2, 5]) == [1, 3]
-    assert [c.args[1] for c in banded.call_args_list] == [[2]]
-    # a vanishing pivot whose row vanishes: residue 0, no fallback
-    with mock.patch.object(linalg, "_banded", side_effect=AssertionError("banded routine entered")):
-        assert det_mod_prime(np.array([[0, 0], [1, 2]]), [2, 5]) == [0, 0]
+    # p = 2 fails and p = 5 does not; det = 3
+    assert det_mod_prime(np.array([[2, 1], [1, 2]]), [2, 5]) == [None, 3]
+    # a vanishing pivot whose row vanishes: residue 0, no failure
+    assert det_mod_prime(np.array([[0, 0], [1, 2]]), [2, 5]) == [0, 0]
 
 
-def test_front_with_more_pivots_than_the_band_reduces_partway():
-    # the lower band is 2 rows high, so the guard admits p near 2^30.5; the
-    # leaf front takes all 8 rows, moves row 1 last, and its last entry
-    # absorbs 6 products below p^2, past 2^63 unless reduced after 2 steps
-    signs = ["-0+--+-+", "0+-0--+-", "0-++000-", "00-++00+",
-             "000++---", "0000+-++", "00000-+-", "000000--"]
-    rows = [[{"+": WIDEST_ENTRY, "-": -WIDEST_ENTRY, "0": 0}[c] for c in r] for r in signs]
-    mat = linalg._csr(np.array(rows))
-    assert linalg._envelope(mat)[2] == 2 and [front[1] for front in linalg._fronts(mat)] == [8]
-    p = widest_admitted_prime(2)
-    assert det_mod_prime(mat, [p]) == [bareiss_det(rows) % p]
+def peak_reference(fronts):
+    """The peak of _Fronts as its docstring states it: the most, over the
+    fronts, of twice the front's entries plus the entries of every update
+    block made before it and taken by it or a later front, in bytes per
+    prime."""
+    parent = {c: t for t, front in enumerate(fronts) for c, _ in front[4]}
+    size = [len(index) - s for index, s, _, _, _ in fronts]
+    return 8 * max(2 * len(index) ** 2 + sum(size[c] ** 2 for c in parent if c < t <= parent[c])
+                   for t, (index, _, _, _, _) in enumerate(fronts))
 
 
 def assert_fronts_follow_their_rule(mat):
     """Every row is a pivot of exactly one front; a front holds every later
     row its pivots reach in A + A^T, and its update rows are pivots of its
-    ancestors; every entry of the matrix goes to exactly one front."""
+    ancestors; every entry of the matrix goes to exactly one front.  The
+    record's pivot count and peak follow from its fronts."""
     n = len(mat.ptr) - 1
     order, _ = linalg._dissection(linalg._pattern(mat))
     assert sorted(order) == list(range(n))
-    fronts = linalg._fronts(mat)
+    record = linalg._fronts(mat)
+    fronts = record.fronts
     pivots = [index[:s].tolist() for index, s, _, _, _ in fronts]
     assert sorted(sum(pivots, [])) == list(range(n))
+    assert record.pivots == max(len(p) for p in pivots)
+    assert record.peak == peak_reference(fronts)
     parent = {c: t for t, front in enumerate(fronts) for c, _ in front[4]}
     pattern = linalg._pattern(linalg._permuted(mat, order))
     for t, (index, s, _, _, _) in enumerate(fronts):
