@@ -3,8 +3,9 @@
 
 For each fixture, builds one TowerCalculator with an empty level cache
 (its characteristic polynomial is built first and not timed) and times
-TowerCalculator.level_sum(k) for k = 1, 2, ... until one level takes
-longer than --seconds.  Prints CSV on stdout, one line per timed level:
+TowerCalculator.level_sum(k) for k = 1, 2, ..., --max-level, or until one
+level takes longer than --seconds.  Prints CSV on stdout, one line per
+timed level:
 
     fixture,level,orbits,sum_of_orders,seconds
 
@@ -12,10 +13,12 @@ orbits is the number of character orbits of exact level k, from its
 closed form (ell^(dk) - ell^(d(k-1))) / ((ell - 1) ell^(k-1)), and
 sum_of_orders the sum of their pi-adic orders, the level's share of
 ord_ell(kappa_n).  --seconds 0 stops after level 1 on every fixture; a
-value that is not a finite number >= 0 exits 2.
+--seconds that is not a finite number >= 0, or a --max-level that is not
+an integer >= 1, exits 2.  A level whose refinement passes the capacity
+of TowerCalculator.level_sum exits 1 with its message.
 
 Usage:
-    python scripts/level_curve.py [--seconds S] [FIXTURE ...]
+    python scripts/level_curve.py [--seconds S] [--max-level N] [FIXTURE ...]
 """
 
 import argparse
@@ -39,6 +42,16 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _level(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def _orbit_count(ell: int, d: int, k: int) -> int:
     """Number of Galois orbits of characters of exact order ell^k."""
     return (ell ** (d * k) - ell ** (d * (k - 1))) // ((ell - 1) * ell ** (k - 1))
@@ -49,6 +62,7 @@ def main():
     parser.add_argument(
         "--seconds", type=_seconds, default=2.0, help="stop after the first level slower than this (default 2)"
     )
+    parser.add_argument("--max-level", type=_level, default=60, help="the deepest level timed (default 60)")
     parser.add_argument("fixtures", nargs="*", help="fixture names (default: every file in fixtures/)")
     args = parser.parse_args()
     known = sorted(path.stem for path in FIXTURES.glob("*.json"))
@@ -62,14 +76,18 @@ def main():
             calc = TowerCalculator(load_tower_spec(json.load(fh)))
         calc.poly  # P is built once per tower, outside the timed levels
         k, seconds = 0, 0.0
-        while seconds <= args.seconds:
+        while seconds <= args.seconds and k < args.max_level:
             k += 1
             t0 = time.perf_counter()
-            total = calc.level_sum(k)
+            try:
+                total = calc.level_sum(k)
+            except ValueError as err:
+                print(f"error: {name}: {err}", file=sys.stderr)
+                return 1
             seconds = time.perf_counter() - t0
             orbits = _orbit_count(calc.spec.ell, calc.spec.d, k)
-            print(f"{name},{k},{orbits},{total},{seconds:.4f}", flush=True)
+            print(f"{name},{k},{orbits},{total},{seconds:.6f}", flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,8 +11,11 @@ The package never adds or multiplies elements: it builds their rows with
 numpy (series.character_values), stores one as a CycInt record, takes its
 order at the uniformizer pi = 1 - zeta of the unique (totally ramified)
 prime above ell, read off from the ell-content and a computation modulo
-ell, and its norm down to Z as an integer resultant.  No complex
-embedding, no floating point, no precision to manage.  The ring
+ell (pi_adic_ords on a batch of rows), and its norm down to Z as an
+integer resultant.  An element given only by a few terms c zeta^e, such
+as a value of a sparse polynomial, takes its order from those terms with
+no row (sparse_ord), and so does its fold mod X^(ell^i) - 1 and mod ell.
+No complex embedding, no floating point, no precision to manage.  The ring
 arithmetic on these records, which the tests build oracle values with,
 lives in tests/oracles.py.
 
@@ -21,6 +24,8 @@ convenient for trivial characters.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
@@ -71,9 +76,9 @@ def _residues(x: np.ndarray, ell: int) -> np.ndarray:
     return r.astype(np.int64, copy=False)
 
 
-def _first_taylor_coefficient(x: np.ndarray, ell: int, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of residues x: the least j whose Taylor coefficient at 1,
-    c_j = sum_e C(e, j) x_e mod ell, is nonzero, and whether there is one.
+def _first_taylor_coefficient(x: np.ndarray, ell: int, sizes) -> np.ndarray:
+    """Per row of residues x, nonzero mod ell: the least j whose Taylor
+    coefficient at 1, c_j = sum_e C(e, j) x_e mod ell, is nonzero.
     The column index is a mixed-radix number with digit sizes `sizes`
     (lowest first, each at most ell), so by Lucas the transform is one
     Pascal matrix mod ell per digit axis, applied in place.  A digit
@@ -93,21 +98,7 @@ def _first_taylor_coefficient(x: np.ndarray, ell: int, sizes) -> tuple[np.ndarra
                 if c:
                     v[:, j] += v[:, e] if c == 1 else c * v[:, e]
         stride *= s
-    nonzero = _residues(x, ell) != 0
-    return nonzero.argmax(axis=1), nonzero.any(axis=1)
-
-
-def fold_ords(fold: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row g of a fold of width m = ell^a (integers, read mod ell),
-    the order of g mod ell at X = 1 when it is below m, and whether it is
-    (False exactly when g = 0 mod ell).  Over F_ell, X^m - 1 = (X - 1)^m,
-    so a row f folded mod X^m - 1 has f's order r when r < m and is 0
-    exactly when r >= m.  The Taylor shift goes digit by digit (Lucas: one
-    ell x ell Pascal transform mod ell per base-ell digit of the index)."""
-    a = 0
-    while ell**a < fold.shape[1]:
-        a += 1
-    return _first_taylor_coefficient(_residues(fold, ell), ell, [ell] * a)
+    return (_residues(x, ell) != 0).argmax(axis=1)
 
 
 def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
@@ -146,7 +137,7 @@ def pi_adic_ords(rows: np.ndarray, ell: int) -> np.ndarray:
     b, top = 0, phi
     while top % ell == 0:
         b, top = b + 1, top // ell
-    return ords + _first_taylor_coefficient(low, ell, [ell] * b + [top])[0]
+    return ords + _first_taylor_coefficient(low, ell, [ell] * b + [top])
 
 
 def pi_adic_ord(x: CycInt) -> int:
@@ -154,6 +145,63 @@ def pi_adic_ord(x: CycInt) -> int:
     pi_adic_ords on the single row of x's coefficients."""
     dtype = np.int64 if max(map(abs, x.coeffs)) < 2**62 else object
     return int(pi_adic_ords(np.array([x.coeffs], dtype=dtype), x.ell)[0])
+
+
+def sparse_ord(terms, ell: int, level: int, *, fold: bool = False) -> int | None:
+    """Order at pi = 1 - zeta of sum c zeta^e over the (exponent, coefficient)
+    pairs in terms (any Python integers; repeated exponents add up), zeta a
+    primitive ell^level-th root of unity, in O(level * ell^2 * T) dictionary
+    operations for T terms, with no dense row.
+
+    With fold, the terms are read mod X^(ell^level) - 1 = (X - 1)^(ell^level)
+    and mod ell: the fold's order at X = 1, or None when it vanishes.
+    Otherwise each exponent x >= phi is first reduced mod Phi_(ell^level),
+    zeta^x = -sum_(j < ell-1) zeta^(x-phi+j ell^(level-1)); then the
+    ell-content ell^c is stripped, adding c * phi.  A zero element raises
+    ValueError.  The order of the rest g mod ell is the least j with
+    sum_e g_e C(e, j) != 0 mod ell, and by Lucas its base-ell digits come
+    from the top: the top digit is the least j_t whose
+    G = sum_(e_t) C(e_t, j_t) (the terms with top digit e_t, that digit
+    dropped) is nonzero mod ell, and the search goes on in G.  The lower
+    Pascal transforms are invertible mod ell, so G != 0 says exactly that
+    some Taylor coefficient with this top digit is nonzero.
+    """
+    m = ell**level
+    placed: dict[int, int] = {}
+    for e, c in terms:
+        e %= m
+        placed[e] = placed.get(e, 0) + c
+    content = 0
+    if not fold:
+        phi, s = phi_ell_power(ell, level), m // ell
+        for x in [x for x in placed if x >= phi]:
+            c = placed.pop(x)
+            for j in range(ell - 1):
+                placed[x - phi + j * s] = placed.get(x - phi + j * s, 0) - c
+        placed = {e: c for e, c in placed.items() if c}
+        if not placed:
+            raise ValueError("the zero element has infinite valuation")
+        while all(c % ell == 0 for c in placed.values()):
+            placed = {e: c // ell for e, c in placed.items()}
+            content += phi
+    g = {e: c % ell for e, c in placed.items() if c % ell}
+    if not g:
+        return None
+    pascal = [[comb(t, j) % ell for j in range(ell)] for t in range(ell)]
+    order = 0
+    for p in reversed(range(level)):
+        step = ell**p
+        split = [(*divmod(e, step), c) for e, c in g.items()]
+        for j in range(ell):
+            top: dict[int, int] = {}
+            for t, r, c in split:
+                if pascal[t][j]:
+                    top[r] = (top.get(r, 0) + pascal[t][j] * c) % ell
+            g = {r: c for r, c in top.items() if c}
+            if g:
+                order += j * step
+                break
+    return content + order
 
 
 # norms ----------------------------------------------------------------------

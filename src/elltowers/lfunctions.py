@@ -32,35 +32,35 @@ so ord_ell(kappa_n) = -d n + ord_ell(kappa_X) + sum over k <= n of S_k,
 S_k the sum of the level-k orbit values' pi-adic orders (exact, no norms
 needed; full integers come on demand via resultants).  Each reader of a
 level gets only what it needs.  ord_valuation reads one number per level,
-TowerCalculator.level_sum(k), from the package's only fold: since
-Phi_(ell^k) = (X - 1)^phi mod ell, a value's power-basis row folded mod
-X^w - 1 and mod ell, w about sqrt(phi), is P's coefficients mod ell placed
-at the exponents a.e mod w, so the orders come from a (representatives x
-w) array; only the rows whose fold vanishes get full value rows
-(series.character_values) for pi_adic_ords, which strips their content
-and takes one Taylor shift.  Norms, orbit records and per-orbit orders
-read (row, order) pairs from one pass over the full value rows
-(TowerCalculator._values), with no fold.  Every pass runs in chunks of at
-most about _CHUNK_ENTRIES entries, so memory stays flat as the level
-grows.  The only cache is TowerCalculator's per-level sums and norms.
+TowerCalculator.level_sum(k), from an ell-adic class refinement over P's
+T sparse terms, shared by all levels, with no dense row: since
+Phi_(ell^k) = (X - 1)^phi mod ell, a level-k value folded mod X^(ell^i) - 1
+and mod ell, i < k, is P's coefficients placed at a.e mod ell^i, so its
+order (cyclotomic.sparse_ord) holds for every level-k orbit above the class
+a mod ell^i; only the classes whose fold vanishes are lifted, and only
+the classes reaching depth k take their full order.  Norms, orbit records
+and per-orbit orders read (row, order) pairs from one pass over the full
+value rows (TowerCalculator._values), in chunks of at most about
+_CHUNK_ENTRIES entries, so memory stays flat as the level grows.  The only
+caches are TowerCalculator's depth records and per-level norms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import repeat
+from itertools import product, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import (  # noqa: F401  (pi_adic_ord: perfbench/tracer.py looks it up here)
     CycInt,
-    fold_ords,
     norm_to_int,
     phi_ell_power,
     pi_adic_ord,
     pi_adic_ords,
+    sparse_ord,
 )
 from .graphs import validate_base
 from .linalg import det_in_ring  # noqa: F401  (perfbench/tracer.py looks it up here)
@@ -204,16 +204,26 @@ def _digit_bound(value: CycInt) -> int:
 # the tower calculator ----------------------------------------------------------
 
 
-# entries of one chunk (_chunks) of level_sum's (representatives x w) folds
-# and open rows, or of _values' (representatives x ell^k) value rows: bounds
-# the memory of one batched pass whatever the level
+# open classes one depth of level_sum's refinement may lift, each into
+# ell^(d-1) classes of two sparse orders (about 0.1 ms a class for P's 5
+# terms at ell = 2): past it level_sum raises rather than run for minutes
+_MAX_OPEN_CLASSES = 2**16
+
+
+class _Depth(NamedTuple):
+    """One depth i of level_sum's refinement, over the classes reaching it:
+    their full level-i orders' sum, the fold orders' sum and count of those
+    closed at width ell^i, and the open ones."""
+
+    full: int
+    closed: int
+    n_closed: int
+    open: list
+
+
+# entries of one chunk of _values' (representatives x ell^k) value rows:
+# bounds the memory of one batched pass whatever the level
 _CHUNK_ENTRIES = 2**17
-
-
-def _chunks(reps: np.ndarray, cols: int):
-    """reps in chunks of _CHUNK_ENTRIES // cols rows (at least one), for a pass cols entries wide."""
-    step = max(1, _CHUNK_ENTRIES // cols)
-    return (reps[i : i + step] for i in range(0, len(reps), step))
 
 
 class TowerCalculator:
@@ -221,12 +231,13 @@ class TowerCalculator:
 
     Level k data (values of characters of exact order ell^k) is the same
     for every layer n >= k, so the tables for n = 1..n_max cost one pass
-    per level, not one per layer; this is the package's only cache.  Every
-    value is a specialization of the characteristic polynomial P, built on
-    first use.  Each reader gets only what it needs: ord_valuation sums
-    level_sum(k), one cached number per level from the fold of P's
-    exponents; level_norms, orbit_records and level_ords read (row, order)
-    pairs from one value pass (_values), and level_norms caches its norms.
+    per level, not one per layer.  Every value is a specialization of the
+    characteristic polynomial P, built on first use.  Each reader gets only
+    what it needs: ord_valuation sums level_sum(k), read off the depth
+    records of one class refinement on P's sparse terms, each depth walked
+    once for all levels (_refine); level_norms, orbit_records and
+    level_ords read (row, order) pairs from one value pass (_values), and
+    level_norms caches its norms.
     """
 
     def __init__(self, spec: VoltageSpec):
@@ -237,7 +248,7 @@ class TowerCalculator:
         if not conn.ok:
             raise DisconnectedCoverError("; ".join(conn.reasons))
         self.spec = spec
-        self._level_sums: dict[int, int] = {}
+        self._depths: list[_Depth] = []
         self._level_norms: dict[int, tuple[int, ...]] = {}
         self._base: TreeCount | None = None
 
@@ -246,43 +257,77 @@ class TowerCalculator:
         """P(x) = det(D - A_x), computed once."""
         return char_poly(self.spec)
 
+    @functools.cached_property
+    def _mu(self) -> int:
+        """ell^mu is the content of P."""
+        return min((ord_prime(abs(c), self.spec.ell) for c in self.poly.terms.values()), default=0)
+
     def base_tree_count(self) -> TreeCount:
         if self._base is None:
             self._base = kappa_matrix_tree(self.spec.base, self.spec.ell)
         return self._base
 
     def level_sum(self, k: int) -> int:
-        """Sum of the pi-adic orders of the exact-level-k orbit values; cached.
+        """Sum of the pi-adic orders of the exact-level-k orbit values, from
+        the depth records 1..k (_refine): a class closed at depth i < k has
+        ell^((k-i)(d-1)) level-k orbits above it, each of order its fold
+        order plus mu * phi(ell^k), ell^mu the content of P (ell is pi^phi
+        times a unit); the classes reaching depth k add their full orders."""
+        ell, d = self.spec.ell, self.spec.d
+        self._refine(k)
+        mu_phi = self._mu * phi_ell_power(ell, k)
+        total = self._depths[k - 1].full
+        for i, rec in enumerate(self._depths[: k - 1], start=1):
+            total += (rec.closed + mu_phi * rec.n_closed) * ell ** ((k - i) * (d - 1))
+        return total
 
-        character_values(width=w) gives each value of P / ell^mu, ell^mu the
-        content of P, folded mod X^w - 1 and mod ell, w = ell^floor(k/2).  A
-        nonzero fold adds its order (fold_ords) plus mu * phi, since ell is
-        pi^phi times a unit; the open rows, whose fold vanishes, add the
-        orders of their full values (pi_adic_ords).
-        """
-        if k not in self._level_sums:
-            ell, poly = self.spec.ell, self.poly
-            mu = min((ord_prime(abs(c), ell) for c in poly.terms.values()), default=0)
-            primitive = LaurentPoly({e: c // ell**mu for e, c in poly.terms.items()})
-            w = ell ** (k // 2)
-            reps, levels = _orbit_reps(ell, k, self.spec.d)
-            total, open_rows = 0, []
-            for part in _chunks(reps[levels == k], max(w, len(poly.terms))):
-                ords, closed = fold_ords(character_values(primitive, ell, k, part, width=w), ell)
-                total += int(ords[closed].sum()) + int(closed.sum()) * mu * phi_ell_power(ell, k)
-                open_rows.append(part[~closed])
-            for part in _chunks(np.concatenate(open_rows), ell**k):
-                total += int(pi_adic_ords(character_values(poly, ell, k, part), ell).sum())
-            self._level_sums[k] = total
-        return self._level_sums[k]
+    def _refine(self, k: int) -> None:
+        """Builds the depth records up to k, each once.  Depth 1's classes
+        are the level-1 orbit representatives; depth i's are the reduced
+        lifts of depth i-1's open classes: a + ell^(i-1) b with b mod ell
+        zero at a's first unit coordinate, one per level-i orbit above a.
+        Each class takes its full level-i order and its fold at width ell^i
+        of P / ell^mu (sparse_ord on P's terms at a.e)."""
+        ell, d = self.spec.ell, self.spec.d
+        exps, coeffs = list(self.poly.terms), list(self.poly.terms.values())
+        primitive = [c // ell**self._mu for c in coeffs]
+        while len(self._depths) < k:
+            i = len(self._depths) + 1
+            if i == 1:
+                classes = _orbit_reps(ell, 1, d)[0].tolist()
+            else:
+                opened = self._depths[-1].open
+                if len(opened) > _MAX_OPEN_CLASSES:
+                    raise ValueError(
+                        f"level {k}: {len(opened)} open classes at depth {i - 1}, "
+                        f"past the capacity of {_MAX_OPEN_CLASSES}"
+                    )
+                classes = []
+                for a in opened:
+                    pivot = next(t for t, x in enumerate(a) if x % ell)
+                    for b in product(range(ell), repeat=d - 1):
+                        b = b[:pivot] + (0,) + b[pivot:]
+                        classes.append([x + ell ** (i - 1) * y for x, y in zip(a, b)])
+            full = closed = n_closed = 0
+            opened = []
+            for a in classes:
+                at = [sum(x * y for x, y in zip(a, e)) for e in exps]
+                full += sparse_ord(zip(at, coeffs), ell, i)
+                order = sparse_ord(zip(at, primitive), ell, i, fold=True)
+                if order is None:
+                    opened.append(a)
+                else:
+                    closed, n_closed = closed + order, n_closed + 1
+            self._depths.append(_Depth(full, closed, n_closed, opened))
 
     def _values(self, k: int, reps: np.ndarray):
         """(row, order) per representative in reps: the power-basis row of its
         level-k value as a list and the row's pi-adic order, built a chunk at
         a time as they are read."""
         ell = self.spec.ell
-        for part in _chunks(reps, ell**k):
-            rows = character_values(self.poly, ell, k, part)
+        step = max(1, _CHUNK_ENTRIES // ell**k)
+        for i in range(0, len(reps), step):
+            rows = character_values(self.poly, ell, k, reps[i : i + step])
             yield from zip(rows.tolist(), pi_adic_ords(rows, ell).tolist())
 
     def level_ords(self, k: int) -> tuple[int, ...]:

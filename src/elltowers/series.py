@@ -81,7 +81,7 @@ def char_poly(spec: VoltageSpec) -> LaurentPoly:
     return det_in_ring([[LaurentPoly(entry) for entry in row] for row in rows])
 
 
-def character_values(poly: LaurentPoly, ell: int, level: int, avecs, width: int | None = None) -> np.ndarray:
+def character_values(poly: LaurentPoly, ell: int, level: int, avecs) -> np.ndarray:
     """P(zeta^(a_1), ..., zeta^(a_d)) for each index vector a in avecs, with
     zeta a primitive ell^level-th root of unity: one row of power-basis
     coefficients per vector, built without any ring multiplications.
@@ -92,19 +92,13 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs, width: int 
     The block of exponents [phi, ell^level) is then folded down in one
     step by zeta^x = -(zeta^(x-phi) + zeta^(x-phi+s) + ... +
     zeta^(x-phi+(ell-2)s)) with s = ell^(level-1).  Index vectors and
-    exponents are reduced mod the output's column count first (ell^level,
-    or the width below), so their products fit int64 whenever the output
-    fits in memory, whatever the voltages and the level.  Every entry is
+    exponents are reduced mod ell^level first, so their products fit int64
+    whenever the output fits in memory, whatever the voltages and the
+    level.  Every entry is
     bounded by the sum of |c| over P's terms: below 2^62 the rows are int64,
     otherwise Python integers (dtype=object), through the same code.
     An index vector with other than d entries, for P in d variables, is
     refused with a ValueError.
-
-    A width w dividing s gives each row folded mod X^w - 1 and mod ell
-    instead, w columns wide: the terms are placed at column a.e mod w and
-    nothing is folded down, since the ell - 1 powers replacing zeta^x are
-    all = x mod w and -(ell - 1) c = c mod ell.  The entries are the
-    placed sums, to be read mod ell.
     """
     m = ell**level
     phi = phi_ell_power(ell, level)
@@ -113,15 +107,12 @@ def character_values(poly: LaurentPoly, ell: int, level: int, avecs, width: int 
     a = np.asarray(avecs, dtype=object)
     if a.ndim != 2 or (poly and a.shape[1] != d):
         raise ValueError(f"index vectors must have {d} entries, the tower rank")
-    cols = width or m
-    a = (a % cols).astype(np.int64)
-    exps = (np.array(list(poly.terms), dtype=object).reshape(-1, a.shape[1]) % cols).astype(np.int64)
-    targets = a @ exps.T % cols
-    work = np.zeros((len(a), cols), dtype=dtype)
+    a = (a % m).astype(np.int64)
+    exps = (np.array(list(poly.terms), dtype=object).reshape(-1, a.shape[1]) % m).astype(np.int64)
+    targets = a @ exps.T % m
+    work = np.zeros((len(a), m), dtype=dtype)
     coeffs = np.array(list(poly.terms.values()), dtype=dtype)
     np.add.at(work, (np.arange(len(a))[:, None], targets), coeffs)
-    if width:
-        return work
     s = m // ell
     for j in range(ell - 1):
         work[:, j * s : (j + 1) * s] -= work[:, phi:]

@@ -237,6 +237,14 @@ def test_reproduce_tables_success():
     assert re.fullmatch(r"grand total \d+\.\d\ds", result.stdout.splitlines()[-1])
 
 
+def _level_curve_module():
+    script = FIXTURES.parent / "scripts" / "level_curve.py"
+    loaded = importlib.util.spec_from_file_location("level_curve", script)
+    module = importlib.util.module_from_spec(loaded)
+    loaded.loader.exec_module(module)
+    return module
+
+
 def test_level_curve_stops_after_level_one_at_zero_seconds():
     # level 1's orbit orders sum to TABLES[name][0] + d: kappa_X is prime to ell
     script = FIXTURES.parent / "scripts" / "level_curve.py"
@@ -275,9 +283,7 @@ def test_level_curve_sums_reproduce_the_tables():
 @pytest.mark.parametrize("text", ["inf", "1e400", "-inf", "nan", "-1"])
 def test_level_curve_refuses_seconds_that_never_stop(text):
     script = FIXTURES.parent / "scripts" / "level_curve.py"
-    loaded = importlib.util.spec_from_file_location("level_curve", script)
-    module = importlib.util.module_from_spec(loaded)
-    loaded.loader.exec_module(module)
+    module = _level_curve_module()
     with pytest.raises(argparse.ArgumentTypeError):
         module._seconds(text)
     assert module._seconds("0") == 0 and module._seconds("2.5") == 2.5
@@ -287,6 +293,44 @@ def test_level_curve_refuses_seconds_that_never_stop(text):
     )
     assert result.returncode == 2 and result.stdout == ""
     assert "finite number" in result.stderr
+
+
+def test_level_curve_stops_at_max_level():
+    # levels 1..40, the last on the closed form k 2^k + 3 2^k - 4
+    script = FIXTURES.parent / "scripts" / "level_curve.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--max-level", "40", "bouquet2_ell2"], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert [int(k) for _, k, *_ in rows] == list(range(1, 41))
+    assert int(rows[-1][3]) == 40 * 2**40 + 3 * 2**40 - 4
+
+
+@pytest.mark.parametrize("text", ["0", "-3", "2.5", "x"])
+def test_level_curve_refuses_a_max_level_below_one(text):
+    module = _level_curve_module()
+    with pytest.raises(argparse.ArgumentTypeError):
+        module._level(text)
+    assert module._level("1") == 1
+    script = FIXTURES.parent / "scripts" / "level_curve.py"
+    result = subprocess.run(
+        [sys.executable, str(script), f"--max-level={text}", "bouquet2_ell2"], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert "integer >= 1" in result.stderr
+
+
+def test_level_curve_exits_one_past_the_capacity(monkeypatch, capsys):
+    from elltowers import lfunctions
+
+    module = _level_curve_module()
+    monkeypatch.setattr(lfunctions, "_MAX_OPEN_CLASSES", 2)
+    monkeypatch.setattr(sys, "argv", ["level_curve.py", "bouquet2_ell2"])
+    assert module.main() == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("bouquet2_ell2,1,3,7,")
+    assert "error: bouquet2_ell2: level 2: 3 open classes at depth 1" in captured.err
 
 
 @pytest.mark.parametrize("name", ["nonexistent", "bouquet2_ell2.json"])

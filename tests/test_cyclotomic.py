@@ -12,7 +12,9 @@ from elltowers.cyclotomic import (
     phi_ell_power,
     pi_adic_ord,
     pi_adic_ords,
+    sparse_ord,
 )
+from elltowers.series import LaurentPoly, character_values
 from elltowers.treecount import ord_prime
 
 from oracles import Cyclotomic as CycInt
@@ -212,9 +214,8 @@ def _high_order_element(rng, ell, level, c, r):
 
 @pytest.mark.parametrize("ell, level", [(2, 9), (3, 6), (5, 4)])
 def test_pi_adic_ords_lazy_reduction_at_wide_levels(ell, level):
-    # phi = 256, 486 and 500: orders up to phi - 1 lie far past the fold
-    # width of TowerCalculator's level orders, in one batch with rows of
-    # small order, all through the one Taylor shift
+    # phi = 256, 486 and 500: orders up to phi - 1, in one batch with rows
+    # of small order, all through the one Taylor shift
     rng = random.Random(ell * 100 + level)
     phi = phi_ell_power(ell, level)
     cases = [(0, phi - 1), (1, phi - 2), (2, 0), (0, 1)]
@@ -231,10 +232,9 @@ def test_pi_adic_ords_lazy_reduction_at_wide_levels(ell, level):
 
 def _fold_edges(ell, level):
     """Orders at the edges of pi_adic_ords' Taylor shift, which strips the
-    content and then shifts once over the digits of phi = t * ell^b: the
-    fold width m = ell^ceil(b/2) of TowerCalculator's level orders (the
-    rows whose fold vanishes, which pi_adic_ords gets there, have order at
-    least m, or content), the digit block ell^b, and phi."""
+    content and then shifts once over the digits of phi = t * ell^b: a
+    middle power of ell, m = ell^ceil(b/2), the digit block ell^b, and
+    phi."""
     phi = phi_ell_power(ell, level)
     b = 0
     while phi % ell ** (b + 1) == 0:
@@ -261,6 +261,39 @@ def test_pi_adic_ords_at_the_fold_and_digit_edges(ell, level):
     assert pi_adic_ords(np.array(rows, dtype=object), ell).tolist() == want
     for dtype in (np.int64, object):
         assert pi_adic_ords(np.zeros((0, phi), dtype=dtype), ell).tolist() == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 5), (2, 9), (3, 0), (3, 1), (3, 4), (5, 2), (5, 3), (7, 2)]),
+    st.lists(st.tuples(st.integers(-(2**70), 2**70), st.integers(-4, 4)), min_size=1, max_size=8),
+    st.integers(0, 2),
+    st.tuples(st.integers(0, 2**66), st.integers(-3, 3)),
+)
+def test_sparse_ord_matches_dense_rows(level_of, terms, content, cyclotomic_multiple):
+    # ell^c g + h zeta^t Phi(zeta), with exponents past 2^63: the Phi
+    # multiple is zero but hides g's content until the exponents are
+    # reduced mod Phi.  The order equals pi_adic_ords on the dense row
+    # character_values builds, and every fold at a width ell^i < ell^level
+    # either has that order or vanishes, with the order at least ell^i
+    ell, level = level_of
+    m = ell**level
+    t, h = cyclotomic_multiple
+    pairs = [(e, c * ell**content) for e, c in terms]
+    pairs += [(t + j * (m // ell), h) for j in range(ell)] if level else []
+    poly = LaurentPoly({})
+    for e, c in pairs:
+        poly += LaurentPoly({(e,): c})
+    row = character_values(poly, ell, level, [(1,)]) if poly else np.zeros((1, 1), dtype=np.int64)
+    if not row.any():
+        with pytest.raises(ValueError):
+            sparse_ord(pairs, ell, level)
+        return
+    want = int(pi_adic_ords(row, ell)[0])
+    assert sparse_ord(pairs, ell, level) == want
+    for i in range(1, level):
+        fold = sparse_ord(pairs, ell, i, fold=True)
+        assert want == fold if fold is not None else want >= ell**i
 
 
 def test_pi_adic_ords_rejects_a_zero_row():

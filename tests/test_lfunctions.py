@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elltowers import lfunctions
+from elltowers import cli, lfunctions
 from elltowers.cyclotomic import norm_to_int, phi_ell_power, pi_adic_ords
 from elltowers.fit import valuation_sequence
 from elltowers.graphs import build_graph, validate_base
@@ -27,7 +27,7 @@ from elltowers.voltage import (
     derived_graph,
 )
 
-from conftest import FIXTURE_NAMES, fixture_spec, random_connected_spec, random_validated_graph
+from conftest import FIXTURE_NAMES, FIXTURES, fixture_spec, random_connected_spec, random_validated_graph
 from oracles import Cyclotomic as CycInt
 from oracles import l_value_at_one, matrices, orbit_members, twisted_adjacency
 
@@ -124,7 +124,7 @@ def test_level_ords_independent_of_chunking(monkeypatch, spec, k):
     monkeypatch.setattr(lfunctions, "_CHUNK_ENTRIES", 2**40)
     whole = level(TowerCalculator(spec))
     # a few representatives per chunk, and one per chunk, in the value
-    # pass and the fold alike
+    # pass (level_sum takes no chunks)
     for entries in (3 * spec.ell**k, 1):
         monkeypatch.setattr(lfunctions, "_CHUNK_ENTRIES", entries)
         assert level(TowerCalculator(spec)) == whole
@@ -258,55 +258,70 @@ def test_orbits_stay_exact_past_int64(ell, n):
 
 def test_orbit_records_enumerate_once(monkeypatch):
     # one enumeration per call and one value pass per level, which gives
-    # the records' rows and orders alike: no fold (each level here fits in
-    # one chunk)
-    reps_calls, folds, values = [], [], []
+    # the records' rows and orders alike (each level here fits in one chunk)
+    reps_calls, values = [], []
     reps_fn, values_fn = lfunctions._orbit_reps, lfunctions.character_values
 
     def counted_reps(*args):
         reps_calls.append(args)
         return reps_fn(*args)
 
-    def counted_values(poly, ell, level, avecs, width=None):
-        (folds if width else values).append(level)
-        return values_fn(poly, ell, level, avecs, width)
+    def counted_values(poly, ell, level, avecs):
+        values.append(level)
+        return values_fn(poly, ell, level, avecs)
 
     monkeypatch.setattr(lfunctions, "_orbit_reps", counted_reps)
     monkeypatch.setattr(lfunctions, "character_values", counted_values)
     records = orbit_records(E1, 4)
     assert len(reps_calls) == 1
-    assert folds == []
     assert values == [1, 2, 3, 4]
     assert [r.orbit for r in records] == enumerate_orbits(2, 4, 2)
 
 
+def _spy_orders(monkeypatch):
+    """Records each level of a value pass (character_values) and each
+    (level, fold) of a sparse order that TowerCalculator takes."""
+    values, sparse = [], []
+    values_fn, sparse_fn = lfunctions.character_values, lfunctions.sparse_ord
+
+    def counted_values(poly, ell, level, avecs):
+        values.append(level)
+        return values_fn(poly, ell, level, avecs)
+
+    def counted_sparse(terms, ell, level, *, fold=False):
+        sparse.append((level, fold))
+        return sparse_fn(terms, ell, level, fold=fold)
+
+    monkeypatch.setattr(lfunctions, "character_values", counted_values)
+    monkeypatch.setattr(lfunctions, "sparse_ord", counted_sparse)
+    return values, sparse
+
+
 def test_kappa_exact_evaluates_each_level_once(monkeypatch):
     # a cold kappa_exact reads its norms and their check orders off one
-    # value pass per level, with no fold (each level here fits in one
-    # chunk)
-    folds, values = [], []
-    values_fn = lfunctions.character_values
-
-    def counted(poly, ell, level, avecs, width=None):
-        (folds if width else values).append(level)
-        return values_fn(poly, ell, level, avecs, width)
-
-    monkeypatch.setattr(lfunctions, "character_values", counted)
+    # value pass per level, and takes no sparse order (each level here
+    # fits in one chunk)
+    values, sparse = _spy_orders(monkeypatch)
     assert TowerCalculator(E1).kappa_exact(4) == kappa_matrix_tree(derived_graph(E1, 4).graph).kappa
-    assert folds == []
+    assert sparse == []
     assert values == [1, 2, 3, 4]
     # a table cross-checks layers 1..5 within the default budget and reads
-    # the level sums of layers 6 and 7 alone: one fold pass per level
-    folds.clear()
+    # the level sums of all seven: the refinement walks each depth once,
+    # in order, with one full order and one fold per class reaching it
+    sparse.clear()
     valuation_sequence(E1, 7)
-    assert folds == [1, 2, 3, 4, 5, 6, 7]
-    # the orders first and then the norms: each level sum is folded once
-    # and cached, and the norms fold nothing
-    folds.clear()
+    levels = [level for level, _ in sparse]
+    assert levels == sorted(levels) and set(levels) == set(range(1, 8))
+    assert sparse == [(level, fold) for level, _ in sparse[::2] for fold in (False, True)]
+    # the orders first and then the norms: the depths are walked once and
+    # kept, and the norms take no sparse order
+    sparse.clear()
     calc = TowerCalculator(E1)
     calc.ord_valuation(4)
+    walked = len(sparse)
     calc.kappa_exact(4)
-    assert folds == [1, 2, 3, 4]
+    calc.ord_valuation(4)
+    assert len(sparse) == walked
 
 
 def _full_row_ords(calc, k, reps):
@@ -369,21 +384,58 @@ def test_fixture_level_ords_match_full_rows_to_frozen_depth(all_fixture_specs, n
 
 
 def test_level_sum_builds_few_full_rows(monkeypatch):
-    # only the rows whose fold vanishes get full values: at most 1/16 of
-    # the 1,536 orbits of bouquet2_ell2's level 10
-    full = []
-    values_fn = lfunctions.character_values
-
-    def counted(poly, ell, level, avecs, width=None):
-        if not width:
-            full.append(len(avecs))
-        return values_fn(poly, ell, level, avecs, width)
-
-    monkeypatch.setattr(lfunctions, "character_values", counted)
+    # level_sum builds no dense row, and takes full sparse orders only for
+    # the classes the refinement reaches: at most 1/16 of the 1,536 orbits
+    # of bouquet2_ell2's level 10, over all its depths
+    values, sparse = _spy_orders(monkeypatch)
     total = TowerCalculator(E1).level_sum(10)
-    assert sum(full) <= 1536 // 16
+    assert values == []
+    assert sum(not fold for _, fold in sparse) <= 1536 // 16
     ords = TowerCalculator(E1).level_ords(10)
     assert len(ords) == 1536 and total == sum(ords)
+
+
+_CLOSED_FORMS = {
+    "bouquet2_ell2": (range(11, 61), lambda k: k * 2**k + 3 * 2**k - 4),
+    "bouquet2_ell3": (range(7, 39), lambda k: 8 * 3 ** (k - 1)),
+    "bouquet3_ell3": (range(7, 39), lambda k: 40 * 3 ** (k - 2)),
+}
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORMS)
+def test_level_sums_follow_the_closed_forms(all_fixture_specs, name):
+    # a regression check past the full-row tests' reach: the closed forms
+    # were observed, not proved, at every level here
+    levels, closed_form = _CLOSED_FORMS[name]
+    calc = TowerCalculator(all_fixture_specs[name])
+    assert [calc.level_sum(k) for k in levels] == [closed_form(k) for k in levels]
+
+
+@pytest.mark.parametrize("seed, ell, d", [(1, 2, 2), (2, 2, 3), (3, 3, 2), (4, 3, 1), (5, 5, 2)])
+def test_level_sum_with_content_in_p(seed, ell, d):
+    # every edge repeated ell times: P has ell-content, which every closed
+    # class carries as mu * phi(ell^k)
+    spec = _drawn_spec(random.Random(seed), ell, d, ell)
+    calc = TowerCalculator(spec)
+    assert calc._mu > 0
+    for k in range(1, 7):
+        reps = _level_block(ell, k, d)
+        if len(reps) * ell**k > 20000:
+            break
+        assert calc.level_sum(k) == sum(_full_row_ords(calc, k, reps)), k
+
+
+def test_level_sum_refuses_past_the_open_class_capacity(monkeypatch, capsys):
+    # bouquet2_ell2 has three open classes at depth 1, two at each later one
+    monkeypatch.setattr(lfunctions, "_MAX_OPEN_CLASSES", 2)
+    calc = TowerCalculator(E1)
+    assert calc.level_sum(1) == 7
+    with pytest.raises(ValueError, match=r"^level 9: 3 open classes at depth 1, past the capacity of 2$"):
+        calc.level_sum(9)
+    spec = str(FIXTURES / "bouquet2_ell2.json")
+    assert cli.main(["table", "--spec", spec, "--n-max", "20", "--budget", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: level 2: 3 open classes at depth 1" in captured.err
 
 
 def test_orbit_records_are_immutable_hashable_and_picklable():

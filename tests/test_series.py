@@ -1,10 +1,12 @@
+import math
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elltowers.cyclotomic import CycInt
+from elltowers.cyclotomic import CycInt, sparse_ord
 from elltowers.fit import fit_window, valuation_sequence, verify_fit
 from elltowers.graphs import build_graph
 from elltowers.lfunctions import CharacterIndex
@@ -90,21 +92,25 @@ def test_classical_point_matches_l_value(seed):
 @pytest.mark.parametrize(
     "name, level, width", [("bouquet2_ell3", 25, 3**4), ("bouquet2_ell3", 45, 3**4), ("bouquet2_ell2", 70, 2**6)]
 )
-def test_folded_character_values_past_int64(name, level, width):
+def test_sparse_fold_orders_past_int64(name, level, width):
     # index vectors drawn below ell^level: at ell = 3 level 25 their
     # products with P's exponents pass int64, and at levels 45 (ell = 3) and
-    # 70 (ell = 2) the entries themselves do.  The fold places each
-    # coefficient c of P at column (a.e mod ell^level) mod width, checked
-    # against a scatter in Python integers
+    # 70 (ell = 2) the values' entries themselves would.  The fold places
+    # each coefficient c of P at column (a.e mod ell^level) mod width; its
+    # order, the least j with sum_e g_e C(e, j) != 0 mod ell, is checked
+    # against a scatter and a Taylor sum in Python integers
     spec = fixture_spec(name)
-    poly, m = char_poly(spec), spec.ell**level
+    poly, m, ell = char_poly(spec), spec.ell**level, spec.ell
     rng = random.Random(level)
-    avecs = [tuple(rng.randrange(m) for _ in range(spec.d)) for _ in range(20)]
-    want = [[0] * width for _ in avecs]
-    for row, a in zip(want, avecs):
-        for e, c in poly.terms.items():
-            row[sum(x * y for x, y in zip(a, e)) % m % width] += c
-    assert character_values(poly, spec.ell, level, avecs, width=width).tolist() == want
+    for _ in range(20):
+        a = [rng.randrange(m) for _ in range(spec.d)]
+        at = [sum(x * y for x, y in zip(a, e)) for e in poly.terms]
+        fold = [0] * width
+        for x, c in zip(at, poly.terms.values()):
+            fold[x % m % width] += c
+        taylor = [sum(g * comb(e, j) for e, g in enumerate(fold)) % ell for j in range(width)]
+        want = next((j for j, c in enumerate(taylor) if c), None)
+        assert sparse_ord(zip(at, poly.terms.values()), ell, round(math.log(width, ell)), fold=True) == want
 
 
 def test_iwasawa_examples():
