@@ -11,10 +11,11 @@ The package never adds or multiplies elements: it builds their rows with
 numpy (series.character_values), stores one as a CycInt record, takes its
 order at the uniformizer pi = 1 - zeta of the unique (totally ramified)
 prime above ell, read off from the ell-content and a computation modulo
-ell (pi_adic_ords on a batch of rows), and its norm down to Z as an
-integer resultant.  An element given only by a few terms c zeta^e, such
-as a value of a sparse polynomial, takes its order from those terms with
-no row (sparse_ord), and so does its fold mod X^(ell^i) - 1 and mod ell.
+ell (pi_adic_ords on a batch of rows), and its norm down to Z as its
+integer resultant against Phi.  An element given only by a few terms
+c zeta^e, such as a value of a sparse polynomial, takes its order from
+those terms with no row (sparse_ord), and so does its fold mod
+X^(ell^i) - 1 and mod ell.
 No complex embedding, no floating point, no precision to manage.  The ring
 arithmetic on these records, which the tests build oracle values with,
 lives in tests/oracles.py.
@@ -228,67 +229,35 @@ def _pseudo_remainder(a, b):
     return _trim(r[:db])
 
 
-def _resultant(a, b) -> int:
-    """Resultant of two integer polynomials via the subresultant PRS.
-
-    Fraction-free: every division below is exact by the subresultant
-    theory.  With a monic first argument, Res(a, b) is the product of b
-    over the roots of a.
-    """
-    a = _trim(list(a))
-    b = _trim(list(b))
-    if not a or not b:
-        return 0
-    s = 1
-    if len(a) < len(b):
-        if (len(a) - 1) % 2 == 1 and (len(b) - 1) % 2 == 1:
-            s = -s
-        a, b = b, a
-    g = 1
-    h = 1
-    while len(b) - 1 > 0:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = _pseudo_remainder(a, b)
-        a, b = b, [c // (g * h**delta) for c in r]
-        if not b:
-            return 0
-        g = a[-1]
-        if delta > 0:
-            h = g**delta // h ** (delta - 1)
-    da = len(a) - 1
-    if da == 0:
-        return s
-    return s * b[0] ** da // h ** (da - 1)
-
-
-def _cyclotomic_polynomial(ell, level):
-    """Phi_{ell^level} as a little-endian coefficient list."""
-    step = ell ** (level - 1)
-    phi = phi_ell_power(ell, level)
-    p = [0] * (phi + 1)
-    for j in range(ell):
-        p[j * step] = 1
-    return p
-
-
 def norm_to_int(x: CycInt) -> int:
-    """Norm of x down to Z, as the resultant of its representative
-    polynomial with the cyclotomic polynomial of its level.
+    """Norm of x down to Z: the resultant Res(Phi, f) of the cyclotomic
+    polynomial Phi of x's level with x's representative polynomial f,
+    which is the product of f over the roots of the monic Phi.
 
     This is the product of the images of x under all phi(ell^n) embeddings;
     callers working with an element fixed by a subgroup must account for
     the extra multiplicity themselves.
+
+    One subresultant PRS (Brown and Traub, JACM 1971), fraction-free: every
+    division below is exact.  Phi is irreducible and a nonzero f has degree
+    below phi, so the chain starts with Phi, the degree falls at every
+    step, and no remainder vanishes before a constant one ends it.  A
+    constant f gives f^phi; the zero element gives 0.
     """
     if x.level == 0:
         return x.coeffs[0]
-    phi = len(x.coeffs)
-    f = _trim(list(x.coeffs))
-    if not f:
+    b = _trim(list(x.coeffs))
+    if not b:
         return 0
-    if len(f) == 1:
-        return f[0] ** phi
-    return _resultant(_cyclotomic_polynomial(x.ell, x.level), f)
-
+    a = [0] * (len(x.coeffs) + 1)
+    a[:: x.ell ** (x.level - 1)] = [1] * x.ell  # Phi = sum_(j < ell) X^(j ell^(level-1))
+    s = g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        if da % 2 == 1 and db % 2 == 1:
+            s = -s
+        r = _pseudo_remainder(a, b)
+        a, b = b, [c // (g * h ** (da - db)) for c in r]
+        g = a[-1]
+        h = g ** (da - db) // h ** (da - db - 1)
+    return s * b[0] ** (len(a) - 1) // h ** (len(a) - 2)

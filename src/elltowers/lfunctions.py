@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +91,11 @@ class LValueRecord(NamedTuple):
 # orbit enumeration ------------------------------------------------------------
 
 
+# orbits _orbit_reps builds for d > 1, at least ell^n, the width of its
+# residue table: past it, it raises rather than run out of memory
+_MAX_ORBITS = 2**20
+
+
 def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically least members of the unit-group orbits on the
     nonzero vectors modulo ell^n, as one (orbits x d) integer array sorted
@@ -105,10 +110,16 @@ def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     on t, so they are read off one table over the residues, and each row
     followed by its choices in ascending order keeps the rows sorted with
     no sort.  int64 below 2^62, Python integers (dtype=object) otherwise,
-    through the same code.
+    through the same code.  For d > 1, more than _MAX_ORBITS orbits raise a
+    ValueError naming the level and the count, before anything is built.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if d > 1:
+        # (ell^d - 1) / (ell - 1) * ell^((d-1)(k-1)) orbits of exact level k, summed
+        count = (ell**d - 1) // (ell - 1) * ((ell ** ((d - 1) * n) - 1) // (ell ** (d - 1) - 1))
+        if count > _MAX_ORBITS:
+            raise ValueError(f"level {n}: {count} character orbits, past the capacity of {_MAX_ORBITS}")
     m = ell**n
     dtype = np.int64 if m < 2**62 else object
     # the lead, ascending: zero (t stays n), then ell^s (t = s)
@@ -167,7 +178,8 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     whose norm equals the orbit product; each level block of the
     representatives goes through one value pass (TowerCalculator._values),
     which gives each value row with its pi-adic order, and each norm is
-    checked against its order.
+    checked against its order.  The passes of all levels are opened first,
+    so a level whose rows are too wide is refused before the first norm.
     A positive digit limit skips integer values whose predicted size
     (phi * log10 of the coefficient 1-norm, an upper bound) exceeds it;
     orders stay exact.
@@ -178,10 +190,10 @@ def orbit_records(spec: VoltageSpec, n: int, *, digit_limit: int = 0) -> list[LV
     ell = spec.ell
     reps, levels = _orbit_reps(ell, n, spec.d)
     orbits = iter(_character_orbits(ell, n, reps, levels))
+    passes = [calc._values(k, reps[levels == k] // ell ** (n - k)) for k in range(1, n + 1)]
     out = []
-    for k in range(1, n + 1):
-        block = reps[levels == k] // ell ** (n - k)
-        for row, order in calc._values(k, block):
+    for k, values in enumerate(passes, start=1):
+        for row, order in values:
             value = CycInt(ell, k, row)
             skip = 0 < digit_limit < _digit_bound(value)
             out.append(LValueRecord(next(orbits), order, None if skip else _checked_norm(value, order)))
@@ -224,6 +236,9 @@ class _Depth(NamedTuple):
 # entries of one chunk of _values' (representatives x ell^k) value rows:
 # bounds the memory of one batched pass whatever the level
 _CHUNK_ENTRIES = 2**17
+# entries ell^k of one value row before the fold by Phi: past it _values
+# raises rather than build rows it cannot hold
+_MAX_ROW_WIDTH = 2**20
 
 
 class TowerCalculator:
@@ -323,12 +338,15 @@ class TowerCalculator:
     def _values(self, k: int, reps: np.ndarray):
         """(row, order) per representative in reps: the power-basis row of its
         level-k value as a list and the row's pi-adic order, built a chunk at
-        a time as they are read."""
+        a time as they are read.  Rows past _MAX_ROW_WIDTH are refused at the
+        call, before any is built."""
         ell = self.spec.ell
+        if ell**k > _MAX_ROW_WIDTH:
+            raise ValueError(f"level {k}: value rows of {ell**k} entries, "
+                             f"past the capacity of {_MAX_ROW_WIDTH}")
         step = max(1, _CHUNK_ENTRIES // ell**k)
-        for i in range(0, len(reps), step):
-            rows = character_values(self.poly, ell, k, reps[i : i + step])
-            yield from zip(rows.tolist(), pi_adic_ords(rows, ell).tolist())
+        chunks = (character_values(self.poly, ell, k, reps[i : i + step]) for i in range(0, len(reps), step))
+        return chain.from_iterable(zip(rows.tolist(), pi_adic_ords(rows, ell).tolist()) for rows in chunks)
 
     def level_ords(self, k: int) -> tuple[int, ...]:
         """pi-adic orders of all exact-level-k orbit values, in representative

@@ -7,16 +7,16 @@ padded conservatively before being used to pick how many primes to take.
 The modular determinant takes reduced Laplacians: symmetric, weakly
 diagonally dominant, with a nonnegative diagonal, and refuses any other
 matrix with a ValueError that says which condition fails.  It reads its
-input once into compressed sparse rows (CSR) and builds no other n x n
-array.  One symbolic phase orders the pattern of A + A^T by nested
-dissection and lists its fronts; det_mod_prime eliminates a batch of
-primes at once, front by front, without pivoting.  An entry absorbs at
+input once into compressed sparse rows (CSR), its nonzero pattern, and
+builds no other n x n array.  One symbolic phase orders that pattern by
+nested dissection and lists its fronts; det_mod_prime eliminates a batch
+of primes at once, front by front, without pivoting.  An entry absorbs at
 most one product per pivot of its front before the front passes it on
 reduced, so the largest front sizes the primes, 2^27.5 to 2^30.2 on the
 fixture layers and never below 2^25, and the live fronts and update
 blocks size the passes, as few as fit 32 MB.  A prime whose pivot
-vanishes beside a live row and column fails; on this domain that happens
-only when it divides a leading minor, and the next prime replaces it.
+vanishes beside a live column fails; on this domain that happens only
+when it divides a leading minor, and the next prime replaces it.
 """
 
 from __future__ import annotations
@@ -188,16 +188,20 @@ def _pointers(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _csr(mat) -> _Csr:
-    """The CSR copy of a square integer matrix, read with no n x n temporary.
-
-    Refuses entries of 2^25 or more in absolute value, checked on the raw
-    entries before the int64 cast, so no uint64 or Python integer wraps."""
+    """The CSR copy of a square symmetric integer matrix, read with no n x n
+    temporary.  Refuses entries of 2^25 or more in absolute value, checked
+    on the raw entries before the int64 cast, so no uint64 or Python
+    integer wraps; then refuses a matrix that is not symmetric."""
     mat = np.asarray(mat)
     rows, cols = np.nonzero(mat)  # row by row, columns increasing
     vals = mat[rows, cols]
     if ((vals >= 1 << _MOD_PRIME_BITS) | (vals <= -(1 << _MOD_PRIME_BITS))).any():
         raise ValueError("entries too large for the modular path")
-    return _Csr(_pointers(rows, len(mat)), cols, vals.astype(np.int64))
+    vals = vals.astype(np.int64)
+    at = np.lexsort((rows, cols))  # the entries of the transpose, row by row
+    if not ((cols[at] == rows).all() and (rows[at] == cols).all() and (vals[at] == vals).all()):
+        raise ValueError("matrix is not symmetric; the modular determinant takes reduced Laplacians")
+    return _Csr(_pointers(rows, len(mat)), cols, vals)
 
 
 def _permuted(mat: _Csr, order) -> _Csr:
@@ -224,28 +228,21 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.diff(x, prepend=-1) != 0]
 
 
-def _pattern(mat: _Csr) -> _Csr:
-    """The nonzero pattern of A + A^T, as a CSR of ones."""
-    n = len(mat.ptr) - 1
-    i, j = mat.rows(), mat.cols
-    i, j = np.divmod(_distinct(np.concatenate((i * n + j, j * n + i))), n)
-    return _Csr(_pointers(i, n), j, np.ones_like(j))
-
-
 _LEAF = 8  # parts of at most this many rows are fronts, not dissected further
 
 
-def _dissection(pattern: _Csr) -> tuple[list[int], list[int]]:
-    """Nested-dissection order of a symmetric pattern, given as CSR, and the
-    ends of its fronts in that order (George 1973).  Components of at most
-    _LEAF vertices are packed into fronts of at most _LEAF.  A larger one
-    is searched breadth-first from a last-level vertex of a first search,
-    and the middle level of that second search is a front: no edge joins
-    the levels before it to those after it.  What is left is split the
-    same way.  Fronts come in postorder, separators after their parts.
+def _dissection(mat: _Csr) -> tuple[list[int], list[int]]:
+    """Nested-dissection order of a symmetric matrix's pattern, read off its
+    CSR, and the ends of its fronts in that order (George 1973).  Components
+    of at most _LEAF vertices are packed into fronts of at most _LEAF.  A
+    larger one is searched breadth-first from a last-level vertex of a
+    first search, and the middle level of that second search is a front:
+    no edge joins the levels before it to those after it.  What is left is
+    split the same way.  Fronts come in postorder, separators after their
+    parts.
     """
-    n = len(pattern.ptr) - 1
-    cols, cuts = pattern.cols.tolist(), pattern.ptr.tolist()
+    n = len(mat.ptr) - 1
+    cols, cuts = mat.cols.tolist(), mat.ptr.tolist()
     nbrs = [cols[cuts[v]:cuts[v + 1]] for v in range(n)]
     seen = [0] * n  # the last search that reached a vertex; inf once in a front
     stamp = 0
@@ -316,20 +313,19 @@ class _Fronts(NamedTuple):
 
 
 def _fronts(mat: _Csr) -> _Fronts:
-    """The symbolic phase: the fronts of ``mat``, rows renumbered in the
-    nested-dissection order of the pattern of A + A^T.  Each front is
-    (index, pivots, at, vals, children).  The dense front holds rows and
-    columns ``index``, increasing: ``pivots`` pivot rows, then the later
-    rows its pivots reach in the pattern or in its children's update rows.
-    The matrix entries ``vals`` go to its flat positions ``at``: each
-    entry, at its own row and column, to the front that pivots its earlier
-    row or column, so pivot columns are read from A^T, not mirrored.  Each
-    (child, positions) pair in ``children`` places a child's update block;
-    a front's parent pivots the first of its update rows.
+    """The symbolic phase: the fronts of the symmetric matrix ``mat``, rows
+    renumbered in the nested-dissection order of its nonzero pattern.  Each
+    front is (index, pivots, at, vals, children).  The dense front holds
+    rows and columns ``index``, increasing: ``pivots`` pivot rows, then the
+    later rows its pivots reach in the pattern or in its children's update
+    rows.  The matrix entries ``vals`` go to its flat positions ``at``:
+    each entry, at its own row and column, to the front that pivots its
+    earlier row or column, so a front holds its pivot rows and columns
+    whole.  Each (child, positions) pair in ``children`` places a child's
+    update block; a front's parent pivots the first of its update rows.
     """
-    order, ends = _dissection(_pattern(mat))
+    order, ends = _dissection(mat)
     mat = _permuted(mat, order)
-    pattern = _pattern(mat)
     front_of = np.repeat(np.arange(len(ends)), np.diff([0] + ends))
     rows, cols = mat.rows(), mat.cols
     owner = front_of[np.minimum(rows, cols)]
@@ -338,7 +334,7 @@ def _fronts(mat: _Csr) -> _Fronts:
     children = [[] for _ in ends]
     pending = peak = 0  # entries per prime of the update blocks not yet taken
     for t, (start, end) in enumerate(zip([0] + ends, ends)):
-        reach = [pattern.cols[pattern.ptr[start]:pattern.ptr[end]]] + [upds[c] for c in children[t]]
+        reach = [mat.cols[mat.ptr[start]:mat.ptr[end]]] + [upds[c] for c in children[t]]
         upd = _distinct(np.concatenate(reach))
         upd = upd[upd >= end]
         index = np.concatenate((np.arange(start, end), upd))
@@ -357,26 +353,28 @@ def _fronts(mat: _Csr) -> _Fronts:
 
 
 def det_mod_prime(mat, primes) -> list[int | None]:
-    """Determinants of an integer matrix modulo each of a sequence of primes.
+    """Determinants of a symmetric integer matrix modulo each of a sequence
+    of primes.
 
     ``mat`` is the symbolic record ``_fronts`` builds, as det_exact_modular
-    passes it, or a dense array, which is read the same way.  One
-    multifrontal elimination over F_p for all the primes at once (Duff and
-    Reid 1983), with no pivoting: the determinant is the product of the
-    pivots.  A front is an int64 array of shape (f, f, primes), primes
-    innermost so that each row update is one contiguous run; it takes its
-    entries and its children's update blocks, eliminates its pivots by
-    rank-1 steps, and passes its trailing block on, reduced modulo p.  A
-    vanishing pivot whose column or row in the front vanishes too makes
-    the matrix singular modulo p, residue 0.  Any other vanishing pivot
-    fails its prime, whose entry is None: on a reduced Laplacian that
-    happens only when p divides a leading minor, and det_exact_modular
-    replaces the prime.
+    passes it, or a dense symmetric array, which is read the same way.  One
+    symmetric multifrontal elimination over F_p for all the primes at once
+    (Duff and Reid 1983), with no pivoting: the determinant is the product
+    of the pivots.  A front is an int64 array of shape (f, f, primes),
+    primes innermost so that each row update is one contiguous run; it
+    takes its entries and its children's update blocks, eliminates its
+    pivots by rank-1 steps, and passes its trailing block on, reduced
+    modulo p.  It stays symmetric modulo p, so each reduced pivot column
+    serves as the pivot row.  A vanishing pivot whose column in the front
+    vanishes too makes the matrix singular modulo p, residue 0.  Any other
+    vanishing pivot fails its prime, whose entry is None: on a reduced
+    Laplacian that happens only when p divides a leading minor, and
+    det_exact_modular replaces the prime.
 
-    Each step reduces only the pivot column and row, and every front
-    starts from raw entries and reduced update blocks, so an entry absorbs
-    at most one product below p^2 per pivot of its front.  With m the most
-    pivots of one front, a prime p with m (p - 1)^2 + 2^25 >= 2^62 is
+    Each step reduces only the pivot column, and every front starts from
+    raw entries and reduced update blocks, so an entry absorbs at most one
+    product below p^2 per pivot of its front.  With m the most pivots of
+    one front, a prime p with m (p - 1)^2 + 2^25 >= 2^62 is
     refused: m up to 4096 admits every p < 2^25, and m = 64 admits p up to
     2^28; n does not enter.
     """
@@ -401,18 +399,16 @@ def det_mod_prime(mat, primes) -> list[int | None]:
         for k in range(s):
             col = block[k:, k]
             col %= ps
-            row = block[k, k + 1:]
-            row %= ps
             pivot = col[0].tolist()
             if 0 in pivot:
-                failed |= (col[0] == 0) & (det != 0) & col[1:].any(axis=0) & row.any(axis=0)
+                failed |= (col[0] == 0) & (det != 0) & col[1:].any(axis=0)
             det = det * col[0] % ps
             if k + 1 < f:
                 inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivot, primes)], dtype=np.int64)
-                block[k + 1:, k + 1:] -= (col[1:] * inv % ps)[:, None] * row
+                block[k + 1:, k + 1:] -= (col[1:] * inv % ps)[:, None] * col[1:]
         if s < f:
             pending[t] = (block[s:, s:] % ps).reshape(-1, len(primes))
-        del block, col, row  # the front and its views, before the next is allocated
+        del block, col  # the front and its view, before the next is allocated
     return [None if bad else r for bad, r in zip(failed.tolist(), (det % ps).tolist())]
 
 
@@ -420,22 +416,19 @@ def _log2_det_bound(mat: _Csr) -> float:
     """log2 of prod a_ii, which bounds det, or -inf when a row is zero.
 
     The modular determinant's domain is that of reduced Laplacians:
-    symmetric and weakly diagonally dominant with a nonnegative diagonal,
-    so positive semidefinite by Gershgorin, where det <= prod a_ii
-    (Hadamard-Fischer).  Refuses any other matrix with a ValueError naming
-    the condition it breaks.  In the domain a zero diagonal entry leaves
-    its row zero.
+    symmetric (_csr checks that) and weakly diagonally dominant with a
+    nonnegative diagonal, so positive semidefinite by Gershgorin, where
+    det <= prod a_ii (Hadamard-Fischer).  Refuses any other matrix with a
+    ValueError naming the condition it breaks.  In the domain a zero
+    diagonal entry leaves its row zero.
     """
     rows, cols, vals = mat.rows(), mat.cols, mat.vals
-    at = np.lexsort((rows, cols))  # the entries of the transpose, row by row
-    symmetric = (cols[at] == rows).all() and (rows[at] == cols).all() and (vals[at] == vals).all()
     diag = np.zeros(len(mat.ptr) - 1, dtype=np.int64)
     on = rows == cols
     diag[rows[on]] = vals[on]
     # sum_j |a_ij| per row; 2 a_ii >= it says a_ii >= sum_{j != i} |a_ij|
     abs_sums = np.diff(np.concatenate(([0], np.cumsum(np.abs(vals))))[mat.ptr])
     for broken, why in (
-            (not symmetric, "is not symmetric"),
             ((diag < 0).any(), "has a negative diagonal entry"),
             ((2 * diag < abs_sums).any(), "is not weakly diagonally dominant")):
         if broken:
@@ -449,10 +442,11 @@ def det_exact_modular(rows) -> int:
     """Exact determinant of a reduced Laplacian by CRT over front-sized primes.
 
     ``rows`` is an int64 array or any sequence of integer rows, with
-    entries below 2^25 in absolute value, in the domain ``_log2_det_bound``
-    checks.  It is read once into a CSR copy and no other n x n array is
-    built: memory is O(nonzeros + the pass budget) beside the caller's
-    input, which goes once it is read unless the caller still holds it.
+    entries below 2^25 in absolute value, in the domain ``_csr`` and
+    ``_log2_det_bound`` check.  It is read once into a CSR copy and no other
+    n x n array is built: memory is O(nonzeros + the pass budget) beside
+    the caller's input, which goes once it is read unless the caller still
+    holds it.
     The symbolic phase runs once.  The primes are the widest that
     det_mod_prime's guard admits for its largest front, and no narrower
     than 2^25, so a front past about 4096 pivots is refused there.  They

@@ -48,16 +48,26 @@ def ord_prime(k: int, ell: int) -> int:
     return e
 
 
+# rows of the dense reduced Laplacian: 2^13 rows of int64 take 512 MiB
+_MAX_LAPLACIAN_ROWS = 2**13
+
+
 def reduced_laplacian(g: MultiGraph, drop: int = 0) -> np.ndarray:
     """The Laplacian D - A without row and column ``drop``, as an int64 array.
 
     Built from the edge pairs by bincounts: an edge adds 1 to the valency
     of each end and -1 to the two entries it joins, so a loop adds 2 and
-    -2 to the same diagonal entry and cancels.
+    -2 to the same diagonal entry and cancels.  More than
+    _MAX_LAPLACIAN_ROWS rows are refused before the array is built.
     """
     n = g.n_vertices
     if not 0 <= drop < n:
         raise ValueError(f"cannot drop vertex {drop} of a graph on {n} vertices")
+    if n - 1 > _MAX_LAPLACIAN_ROWS:
+        raise ValueError(
+            f"graph of {n} vertices: its reduced Laplacian, {n - 1} x {n - 1} int64 "
+            f"({8 * (n - 1) ** 2 / 2**30:.1f} GiB), is past the capacity of {_MAX_LAPLACIAN_ROWS} rows"
+        )
     a, b = np.array(g.edge_pairs, dtype=np.int64).T
     val = np.bincount(np.concatenate((a, b)), minlength=n)
     m = n - 1

@@ -49,6 +49,24 @@ def test_validate_reports_disconnected_base_once(tmp_path):
     assert [line for line in fails if "connected" in line] == ["FAIL: graph is not connected"]
 
 
+@pytest.mark.parametrize("doc, args, message", [
+    (None, ("lvalues", "--level", "40"), "level 40: 3298534883325 character orbits"),
+    ({"ell": 1000000007, "d": 2, "alpha": [[1, 0], [0, 1]]}, ("table", "--n-max", "1", "--budget", "0"),
+     "level 1: 1000000008 character orbits"),
+    ({"ell": 2, "d": 1, "alpha": [[1], [2]]}, ("lvalues", "--level", "40"),
+     "level 21: value rows of 2097152 entries"),
+], ids=["orbits", "orbits-at-level-1", "row-width"])
+def test_capacity_limits_exit_one_with_an_error_line(tmp_path, doc, args, message):
+    spec = E1
+    if doc is not None:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"graph": {"vertices": 1, "edges": [[0, 0], [0, 0]]}, **doc}))
+    result = run_cli(args[0], "--spec", str(spec), *args[1:])
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: {message}, past the capacity of ")
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 @pytest.mark.parametrize(
     "ell",
     [318665857834031151167461, 3317044064679887385961981],

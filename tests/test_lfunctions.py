@@ -438,6 +438,39 @@ def test_level_sum_refuses_past_the_open_class_capacity(monkeypatch, capsys):
     assert captured.out == "" and "error: level 2: 3 open classes at depth 1" in captured.err
 
 
+def test_orbit_enumeration_refuses_past_the_orbit_capacity():
+    # 3 (2^40 - 1) orbits at level 40 for d = 2, refused before the residue
+    # table over 2^40 residues is built; d = 1 has n orbits and no table
+    with pytest.raises(ValueError, match=r"^level 40: 3298534883325 character orbits, past the capacity of 1048576$"):
+        lfunctions._orbit_reps(2, 40, 2)
+    assert len(enumerate_orbits(2, 70, 1)) == 70
+
+
+@pytest.mark.parametrize("ell, n, d", [(3, 3, 2), (2, 4, 3), (5, 2, 2)])
+def test_orbit_capacity_counts_the_orbits_exactly(monkeypatch, ell, n, d):
+    count = len(enumerate_orbits(ell, n, d))
+    monkeypatch.setattr(lfunctions, "_MAX_ORBITS", count)
+    assert len(enumerate_orbits(ell, n, d)) == count
+    monkeypatch.setattr(lfunctions, "_MAX_ORBITS", count - 1)
+    with pytest.raises(ValueError, match=rf"^level {n}: {count} character orbits, past the capacity of {count - 1}$"):
+        enumerate_orbits(ell, n, d)
+
+
+def test_value_passes_refuse_rows_past_the_width_capacity(monkeypatch):
+    # level 40 of a d = 1 tower has 40 orbits, but rows of 2^21 entries
+    # from level 21 on: orbit_records refuses them before the first norm
+    g = build_graph(1, [(0, 0), (0, 0)])
+    d1 = VoltageSpec(g, default_section(g), ((1,), (2,)), 2, 1)
+    with pytest.raises(ValueError, match=r"^level 21: value rows of 2097152 entries, past the capacity of 1048576$"):
+        orbit_records(d1, 40)
+    monkeypatch.setattr(lfunctions, "_MAX_ROW_WIDTH", 8)
+    calc = TowerCalculator(E1)
+    assert len(calc.level_norms(3)) == len(calc.level_ords(3)) == 12
+    for read in (calc.level_norms, calc.level_ords, lambda k: orbit_records(E1, k)):
+        with pytest.raises(ValueError, match=r"^level 4: value rows of 16 entries, past the capacity of 8$"):
+            read(4)
+
+
 def test_orbit_records_are_immutable_hashable_and_picklable():
     orbits = enumerate_orbits(3, 3, 2)
     orbit = orbits[7]

@@ -74,6 +74,20 @@ def test_reduced_laplacian_is_an_int64_array():
         reduced_laplacian(g, 3)
 
 
+def test_reduced_laplacian_refuses_past_the_row_capacity(monkeypatch):
+    # layer 5 of bouquet2_ell3 would be a 26 GiB array: refused before it
+    # is built.  The capacity counts rows, one fewer than the vertices
+    g = derived_graph(fixture_spec("bouquet2_ell3"), 5, vertex_budget=3**10).graph
+    with pytest.raises(ValueError, match=r"^graph of 59049 vertices: its reduced Laplacian, 59048 x 59048 int64 "
+                                         r"\(26\.0 GiB\), is past the capacity of 8192 rows$"):
+        kappa_matrix_tree(g, 3)
+    monkeypatch.setattr(treecount, "_MAX_LAPLACIAN_ROWS", 4)
+    cycle = [build_graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (5, 6)]
+    assert kappa_matrix_tree(cycle[0]).kappa == 5
+    with pytest.raises(ValueError, match="^graph of 6 vertices: its reduced Laplacian, 5 x 5 int64"):
+        reduced_laplacian(cycle[1])
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_matrix_tree_on_derived_layers_agrees_with_bareiss(seed):
@@ -166,43 +180,65 @@ PRIMES = (2, 3, 5, 7, 33554393)
 WIDEST_ENTRY = (1 << 25) - 1  # the largest entry the modular path takes
 
 
-def random_banded(rng, n, lower, upper, bound):
-    """Entries in [-bound, bound] with i - j <= lower and j - i <= upper."""
-    return [
-        [rng.randint(-bound, bound) if -lower <= j - i <= upper else 0 for j in range(n)]
-        for i in range(n)
-    ]
+def random_banded(rng, n, width, bound):
+    """A symmetric matrix with entries in [-bound, bound] where |i - j| <= width."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(max(0, i - width), i + 1):
+            rows[i][j] = rows[j][i] = rng.randint(-bound, bound)
+    return rows
 
 
 def banded_case(rng, n, kind):
-    lower = rng.randrange(n)
-    upper = lower if kind == "symmetric" else rng.randrange(n)
-    rows = random_banded(rng, n, lower, upper, rng.choice((3, 2**24 - 1)))
+    """A symmetric banded matrix of the kind: any, singular, with a zero
+    diagonal, or diagonally dominant with a nonnegative diagonal; or, of
+    the non-symmetric kind, one with an entry off by one from its mirror."""
+    bound = rng.choice((3, 2**24 - 1)) if kind != "dominant" else rng.choice((3, WIDEST_ENTRY // (2 * n)))
+    rows = random_banded(rng, n, rng.randrange(n), bound)
     if kind == "singular" and n > 1:
+        # row and column j become c times row and column i, so det = 0
         i, j = rng.sample(range(n), 2)
-        rows[j] = [rng.choice((-2, -1, 1, 2)) * x for x in rows[i]]
+        c = rng.choice((-2, -1, 1, 2) if bound == 3 else (-1, 1))
+        for k in range(n):
+            rows[j][k] = rows[k][j] = c * rows[i][k]
+        rows[j][j] = c * c * rows[i][i]
     if kind == "zero-diagonal":
         for i in range(n):
             rows[i][i] = 0
+    if kind == "dominant":
+        for i in range(n):
+            rows[i][i] = sum(abs(x) for j, x in enumerate(rows[i]) if j != i) + rng.randint(0, 2)
+    if kind == "non-symmetric" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] + rng.choice((-1, 1))
     return rows
+
+
+def symmetric(rows):
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
 
 def in_domain(rows):
     """Symmetric, weakly diagonally dominant, with a nonnegative diagonal."""
-    n = len(rows)
-    return all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n)) and all(
-        2 * rows[i][i] >= sum(abs(x) for x in rows[i]) for i in range(n))
+    return symmetric(rows) and all(2 * row[i] >= sum(map(abs, row)) for i, row in enumerate(rows))
 
 
 def assert_banded_agrees(rows, rng):
-    """On the matrix and on a symmetric permutation of it, det_mod_prime
-    gives exact % p or None at each prime, never a wrong residue, in one
-    call that mixes primes that kill a pivot column, primes that fail and
-    primes that do neither; det_exact_modular is exact in its domain and
-    refuses the matrix outside it."""
+    """On the matrix and on a symmetric permutation of it: if it is
+    symmetric, det_mod_prime gives exact % p or None at each prime, never
+    a wrong residue, in one call that mixes primes that kill a pivot
+    column, primes that fail and primes that do neither, and
+    det_exact_modular is exact in its domain and refuses the matrix
+    outside it; if not, both refuse it."""
     exact = bareiss_det(rows)
     perm = rng.sample(range(len(rows)), len(rows))
     for case in (rows, [[rows[i][j] for j in perm] for i in perm]):
+        if not symmetric(case):
+            for call in (lambda: det_mod_prime(np.array(case, dtype=np.int64), PRIMES),
+                         lambda: det_exact_modular(case)):
+                with pytest.raises(ValueError, match="^matrix is not symmetric; the modular determinant"):
+                    call()
+            continue
         got = det_mod_prime(np.array(case, dtype=np.int64), PRIMES)
         assert all(r is None or r == exact % p for p, r in zip(PRIMES, got))
         if in_domain(case):
@@ -212,7 +248,7 @@ def assert_banded_agrees(rows, rng):
                 det_exact_modular(case)
 
 
-@pytest.mark.parametrize("kind", ["symmetric", "non-symmetric", "singular", "zero-diagonal"])
+@pytest.mark.parametrize("kind", ["symmetric", "non-symmetric", "dominant", "singular", "zero-diagonal"])
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_banded_determinant_agrees_with_bareiss(kind, seed):
@@ -222,16 +258,16 @@ def test_banded_determinant_agrees_with_bareiss(kind, seed):
 
 
 @settings(max_examples=4, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["non-symmetric", "zero-diagonal"]))
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(["symmetric", "zero-diagonal"]))
 def test_banded_determinant_beyond_bareiss_limit(seed, kind):
     rng = random.Random(seed)
     rows = banded_case(rng, rng.randint(33, 48), kind)
     assert_banded_agrees(rows, rng)
 
 
-def test_batch_mixes_swapped_and_unswapped_primes():
+def test_batch_mixes_failed_and_good_primes():
     # the leading minors are 3, 5 and 7: one batch fails p = 3 and p = 5,
-    # whose pivots vanish beside a live row, gives p = 7 residue 0, where
+    # whose pivots vanish beside a live column, gives p = 7 residue 0, where
     # the last pivot vanishes, and gives p = 2 and the wide prime theirs
     rows = [[3, 1, 0], [1, 2, 1], [0, 1, 2]]
     assert bareiss_det(rows) == 7
@@ -241,7 +277,8 @@ def test_batch_mixes_swapped_and_unswapped_primes():
 
 
 def test_band_not_size_limits_elimination():
-    # 4100 rows is past what a guard on n would allow; no front is large
+    # 4100 rows, past the front limit of about 4096 pivots: a narrow band
+    # keeps every front small
     n = 4100
     mat = np.zeros((n, n), dtype=np.int64)
     i = np.arange(n)
@@ -397,7 +434,7 @@ def test_layer_of_728_rows_takes_one_elimination_pass():
     assert tc.kappa > 0
 
 
-def test_primes_are_shared_out_evenly_when_strips_do_not_fit():
+def test_primes_are_shared_out_evenly_when_fronts_do_not_fit():
     # the 255-row layer of bouquet2_ell2 under a budget that fits the
     # fronts of 7 primes: the fewest passes that fit, sizes differing by
     # at most one, and one symbolic phase for all of them
@@ -482,7 +519,7 @@ def test_diagonally_dominant_symmetric_takes_diagonal_bound(seed):
     ([[1, 2**24 - 1], [2**24 - 1, 1]], 3, "not weakly diagonally dominant"),
     ([[-1, 0], [0, 1]], 2, "negative diagonal entry"),
 ], ids=["non-symmetric", "non-dominant", "negative-diagonal"])
-def test_other_matrices_keep_row_norm_bound(block, copies, why):
+def test_other_matrices_are_refused(block, copies, why):
     # outside the domain the modular determinant is refused, before any
     # elimination, with the condition that fails
     n = 2 * copies
@@ -523,12 +560,34 @@ def test_multifrontal_residues_on_derived_layers_agree_with_bareiss(seed):
     assert residues and residues == [(p, exact % p) for p, _ in residues]
 
 
-def test_vanishing_pivot_falls_back_only_when_its_column_and_row_live():
+def test_vanishing_pivot_fails_its_prime_only_when_its_column_lives():
     # [[2, 1], [1, 2]]: the pivot 2 vanishes mod 2 beside a live column, so
     # p = 2 fails and p = 5 does not; det = 3
     assert det_mod_prime(np.array([[2, 1], [1, 2]]), [2, 5]) == [None, 3]
-    # a vanishing pivot whose row vanishes: residue 0, no failure
-    assert det_mod_prime(np.array([[0, 0], [1, 2]]), [2, 5]) == [0, 0]
+    # a vanishing pivot whose row and column vanish: residue 0, no failure,
+    # over Z (a zero row) or only mod 2 (det = 2)
+    assert det_mod_prime(np.array([[0, 0], [0, 2]]), [2, 5]) == [0, 0]
+    assert det_mod_prime(np.array([[2, 2], [2, 3]]), [2, 5]) == [0, 2]
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, -1, 0], [0, 2, -1], [0, -1, 2]],  # an entry without its mirror
+    [[2, -1], [-2, 3]],  # mirrored entries that differ
+], ids=["pattern", "values"])
+def test_both_entry_points_refuse_a_non_symmetric_matrix(rows):
+    # before the symbolic phase, so before any elimination; the entry-size
+    # check still comes first
+    refusal = "matrix is not symmetric; the modular determinant takes reduced Laplacians"
+    with mock.patch.object(linalg, "_fronts", side_effect=AssertionError("eliminated")):
+        with pytest.raises(ValueError, match=refusal):
+            det_mod_prime(np.array(rows), PRIMES)
+        with pytest.raises(ValueError, match=refusal):
+            det_exact_modular(rows)
+        rows[0][0] = 1 << 25
+        with pytest.raises(ValueError, match="entries too large"):
+            det_mod_prime(np.array(rows), PRIMES)
+        with pytest.raises(ValueError, match="entries too large"):
+            det_exact_modular(rows)
 
 
 def peak_reference(fronts):
@@ -542,13 +601,15 @@ def peak_reference(fronts):
                    for t, (index, _, _, _, _) in enumerate(fronts))
 
 
-def assert_fronts_follow_their_rule(mat):
-    """Every row is a pivot of exactly one front; a front holds every later
-    row its pivots reach in A + A^T, and its update rows are pivots of its
-    ancestors; every entry of the matrix goes to exactly one front.  The
-    record's pivot count and peak follow from its fronts."""
-    n = len(mat.ptr) - 1
-    order, _ = linalg._dissection(linalg._pattern(mat))
+def assert_fronts_follow_their_rule(a):
+    """For a symmetric array: every row is a pivot of exactly one front; a
+    front holds every later row its pivots reach in the nonzero pattern,
+    and its update rows are pivots of its ancestors; every entry of the
+    matrix goes to exactly one front.  The record's pivot count and peak
+    follow from its fronts."""
+    n = len(a)
+    mat = linalg._csr(a)
+    order, _ = linalg._dissection(mat)
     assert sorted(order) == list(range(n))
     record = linalg._fronts(mat)
     fronts = record.fronts
@@ -557,10 +618,10 @@ def assert_fronts_follow_their_rule(mat):
     assert record.pivots == max(len(p) for p in pivots)
     assert record.peak == peak_reference(fronts)
     parent = {c: t for t, front in enumerate(fronts) for c, _ in front[4]}
-    pattern = linalg._pattern(linalg._permuted(mat, order))
+    pattern = a[np.ix_(order, order)] != 0
     for t, (index, s, _, _, _) in enumerate(fronts):
         end = pivots[t][-1] + 1
-        reach = pattern.cols[pattern.ptr[pivots[t][0]]:pattern.ptr[end]]
+        reach = np.flatnonzero(pattern[pivots[t][0]:end].any(axis=0))
         assert set(reach[reach >= end].tolist()) <= set(index.tolist())
         above, a = set(), t
         while a in parent:
@@ -574,14 +635,15 @@ def assert_fronts_follow_their_rule(mat):
 def test_fronts_follow_their_rule_on_fixture_layers(name):
     spec = fixture_spec(name)
     for n in range(1, 4):
-        assert_fronts_follow_their_rule(linalg._csr(reduced_laplacian(derived_graph(spec, n).graph)))
+        assert_fronts_follow_their_rule(reduced_laplacian(derived_graph(spec, n).graph))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_fronts_follow_their_rule_on_random_patterns(seed):
     # edges only inside a few groups, so several components and isolated
-    # vertices; A and A^T drawn apart, and about half the diagonal set
+    # vertices; P drawn at random and made symmetric as P | P^T, with about
+    # half the diagonal set
     rng = random.Random(seed)
     n = rng.randint(1, 60)
     group = [rng.randrange(rng.randint(1, 6)) for _ in range(n)]
@@ -590,4 +652,4 @@ def test_fronts_follow_their_rule_on_random_patterns(seed):
     for i in range(n):
         for j in range(n):
             pattern[i, j] = rng.random() < 0.5 if i == j else group[i] == group[j] and rng.random() < density
-    assert_fronts_follow_their_rule(linalg._csr(pattern))
+    assert_fronts_follow_their_rule(pattern | pattern.T)
