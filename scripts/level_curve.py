@@ -9,13 +9,13 @@ timed level:
 
     fixture,level,orbits,sum_of_orders,seconds
 
-orbits is the number of character orbits of exact level k, from its
-closed form (ell^(dk) - ell^(d(k-1))) / ((ell - 1) ell^(k-1)), and
-sum_of_orders the sum of their pi-adic orders, the level's share of
-ord_ell(kappa_n).  --seconds 0 stops after level 1 on every fixture; a
---seconds that is not a finite number >= 0, or a --max-level that is not
-an integer >= 1, exits 2.  A level whose refinement passes the capacity
-of TowerCalculator.level_sum exits 1 with its message.
+orbits is the number of character orbits of exact level k, from the
+package's closed form lfunctions.orbit_count, and sum_of_orders the sum
+of their pi-adic orders, the level's share of ord_ell(kappa_n).
+--seconds 0 stops after level 1 on every fixture; a --seconds that is
+not a finite number >= 0, or a --max-level that is not an integer >= 1,
+exits 2.  A level whose refinement passes the capacity of
+TowerCalculator.level_sum exits 1 with its message.
 
 Usage:
     python scripts/level_curve.py [--seconds S] [--max-level N] [FIXTURE ...]
@@ -31,6 +31,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from elltowers import TowerCalculator, load_tower_spec  # noqa: E402
+from elltowers.cli import _positive  # noqa: E402
+from elltowers.lfunctions import orbit_count  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -42,27 +44,12 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _level(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
-
-
-def _orbit_count(ell: int, d: int, k: int) -> int:
-    """Number of Galois orbits of characters of exact order ell^k."""
-    return (ell ** (d * k) - ell ** (d * (k - 1))) // ((ell - 1) * ell ** (k - 1))
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--seconds", type=_seconds, default=2.0, help="stop after the first level slower than this (default 2)"
     )
-    parser.add_argument("--max-level", type=_level, default=60, help="the deepest level timed (default 60)")
+    parser.add_argument("--max-level", type=_positive, default=60, help="the deepest level timed (default 60)")
     parser.add_argument("fixtures", nargs="*", help="fixture names (default: every file in fixtures/)")
     args = parser.parse_args()
     known = sorted(path.stem for path in FIXTURES.glob("*.json"))
@@ -85,7 +72,7 @@ def main():
                 print(f"error: {name}: {err}", file=sys.stderr)
                 return 1
             seconds = time.perf_counter() - t0
-            orbits = _orbit_count(calc.spec.ell, calc.spec.d, k)
+            orbits = orbit_count(calc.spec.ell, calc.spec.d, k)
             print(f"{name},{k},{orbits},{total},{seconds:.6f}", flush=True)
 
 

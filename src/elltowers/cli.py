@@ -133,8 +133,7 @@ def _monomial_label(k: int, j: int) -> str:
 # subcommands -------------------------------------------------------------------
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = load_tower_spec_file(args.spec)
+def _cmd_validate(args: argparse.Namespace, spec) -> int:
     report = validate_base(spec.base)
     reasons = report.reasons
     tower_ok = False
@@ -189,16 +188,14 @@ def _compute_sequence(args: argparse.Namespace, spec) -> ValuationSequence:
     return ValuationSequence(spec.ell, spec.d, tuple(entries))
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    spec = load_tower_spec_file(args.spec)
+def _cmd_table(args: argparse.Namespace, spec) -> int:
     seq = _compute_sequence(args, spec)
     meta = {"ell": spec.ell, "d": spec.d}
     _emit(_render_rows(_sequence_rows(seq), args.format, meta), args.out)
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    spec = load_tower_spec_file(args.spec)
+def _cmd_fit(args: argparse.Namespace, spec) -> int:
     unknowns = len(monomial_basis(spec.d))
     if args.n_max < unknowns:
         print(f"need at least {unknowns} layers to fit (got {args.n_max})", file=sys.stderr)
@@ -241,8 +238,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lvalues(args: argparse.Namespace) -> int:
-    spec = load_tower_spec_file(args.spec)
+def _cmd_lvalues(args: argparse.Namespace, spec) -> int:
     records = orbit_records(spec, args.level, digit_limit=args.digit_limit)
     rows = []
     for rec in records:
@@ -258,8 +254,7 @@ def _cmd_lvalues(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_qseries(args: argparse.Namespace) -> int:
-    spec = load_tower_spec_file(args.spec)
+def _cmd_qseries(args: argparse.Namespace, spec) -> int:
     TowerCalculator(spec)  # the base and tower checks that table makes
     unit_exponents, q = q_series(spec)
     doc = {
@@ -271,8 +266,7 @@ def _cmd_qseries(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
-    spec = load_tower_spec_file(args.spec)
+def _cmd_export_dot(args: argparse.Namespace, spec) -> int:
     layer = derived_graph(spec, args.layer, vertex_budget=args.budget)
     _emit(derived_to_dot(layer), args.out)
     return 0
@@ -291,7 +285,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, load_tower_spec_file(args.spec))
     except (SpecFormatError, GraphInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -96,6 +96,12 @@ class LValueRecord(NamedTuple):
 _MAX_ORBITS = 2**20
 
 
+def orbit_count(ell: int, d: int, k: int) -> int:
+    """Galois orbits of characters of exact order ell^k, k >= 1: the
+    ell^(dk) - ell^(d(k-1)) such characters in orbits of phi(ell^k) each."""
+    return (ell**d - 1) // (ell - 1) * ell ** ((d - 1) * (k - 1))
+
+
 def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographically least members of the unit-group orbits on the
     nonzero vectors modulo ell^n, as one (orbits x d) integer array sorted
@@ -116,8 +122,8 @@ def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError("need n >= 1")
     if d > 1:
-        # (ell^d - 1) / (ell - 1) * ell^((d-1)(k-1)) orbits of exact level k, summed
-        count = (ell**d - 1) // (ell - 1) * ((ell ** ((d - 1) * n) - 1) // (ell ** (d - 1) - 1))
+        # the level counts grow by ell^(d-1) a level: their sum in closed form
+        count = (orbit_count(ell, d, n + 1) - orbit_count(ell, d, 1)) // (ell ** (d - 1) - 1)
         if count > _MAX_ORBITS:
             raise ValueError(f"level {n}: {count} character orbits, past the capacity of {_MAX_ORBITS}")
     m = ell**n
@@ -220,6 +226,10 @@ def _digit_bound(value: CycInt) -> int:
 # ell^(d-1) classes of two sparse orders (about 0.1 ms a class for P's 5
 # terms at ell = 2): past it level_sum raises rather than run for minutes
 _MAX_OPEN_CLASSES = 2**16
+# entries ell^2 of the Pascal table mod ell that each sparse_ord call of
+# level_sum's refinement builds (about 0.03 s a call at ell = 251): past it
+# level_sum raises rather than run for hours or out of memory
+_MAX_PASCAL = 2**16
 
 
 class _Depth(NamedTuple):
@@ -302,7 +312,8 @@ class TowerCalculator:
         lifts of depth i-1's open classes: a + ell^(i-1) b with b mod ell
         zero at a's first unit coordinate, one per level-i orbit above a.
         Each class takes its full level-i order and its fold at width ell^i
-        of P / ell^mu (sparse_ord on P's terms at a.e)."""
+        of P / ell^mu (sparse_ord on P's terms at a.e); an ell past
+        _MAX_PASCAL is refused before the first."""
         ell, d = self.spec.ell, self.spec.d
         exps, coeffs = list(self.poly.terms), list(self.poly.terms.values())
         primitive = [c // ell**self._mu for c in coeffs]
@@ -310,6 +321,9 @@ class TowerCalculator:
             i = len(self._depths) + 1
             if i == 1:
                 classes = _orbit_reps(ell, 1, d)[0].tolist()
+                if ell * ell > _MAX_PASCAL:
+                    raise ValueError(f"ell = {ell}: Pascal tables of {ell * ell} entries, "
+                                     f"past the capacity of {_MAX_PASCAL}")
             else:
                 opened = self._depths[-1].open
                 if len(opened) > _MAX_OPEN_CLASSES:

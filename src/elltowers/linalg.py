@@ -171,15 +171,12 @@ _PASS_BYTES = 32 << 20  # front memory of one det_mod_prime pass from det_exact_
 class _Csr(NamedTuple):
     """Compressed sparse rows of a square integer matrix: the nonzeros of row
     i are vals[ptr[i]:ptr[i + 1]], in the increasing columns
-    cols[ptr[i]:ptr[i + 1]]."""
+    cols[ptr[i]:ptr[i + 1]]; rows holds the row of every stored entry."""
 
     ptr: np.ndarray
+    rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-    def rows(self) -> np.ndarray:
-        """The row of every stored entry."""
-        return np.repeat(np.arange(len(self.ptr) - 1), np.diff(self.ptr))
 
 
 def _pointers(rows: np.ndarray, n: int) -> np.ndarray:
@@ -201,18 +198,7 @@ def _csr(mat) -> _Csr:
     at = np.lexsort((rows, cols))  # the entries of the transpose, row by row
     if not ((cols[at] == rows).all() and (rows[at] == cols).all() and (vals[at] == vals).all()):
         raise ValueError("matrix is not symmetric; the modular determinant takes reduced Laplacians")
-    return _Csr(_pointers(rows, len(mat)), cols, vals)
-
-
-def _permuted(mat: _Csr, order) -> _Csr:
-    """The CSR of the matrix whose row and column i are row and column
-    order[i] of ``mat``."""
-    n = len(order)
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    rows, cols = pos[mat.rows()], pos[mat.cols]
-    at = np.lexsort((cols, rows))
-    return _Csr(_pointers(rows, n), cols[at], mat.vals[at])
+    return _Csr(_pointers(rows, len(mat)), rows, cols, vals)
 
 
 def _prime_ceiling(pivots: int) -> int:
@@ -325,23 +311,26 @@ def _fronts(mat: _Csr) -> _Fronts:
     update block; a front's parent pivots the first of its update rows.
     """
     order, ends = _dissection(mat)
-    mat = _permuted(mat, order)
+    pos = np.empty(len(order), dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    rows, cols = pos[mat.rows], pos[mat.cols]
     front_of = np.repeat(np.arange(len(ends)), np.diff([0] + ends))
-    rows, cols = mat.rows(), mat.cols
     owner = front_of[np.minimum(rows, cols)]
+    later = np.maximum(rows, cols)
     by, cuts = np.argsort(owner, kind="stable"), _pointers(owner, len(ends))
     upds, fronts = [], []
     children = [[] for _ in ends]
     pending = peak = 0  # entries per prime of the update blocks not yet taken
     for t, (start, end) in enumerate(zip([0] + ends, ends)):
-        reach = [mat.cols[mat.ptr[start]:mat.ptr[end]]] + [upds[c] for c in children[t]]
-        upd = _distinct(np.concatenate(reach))
+        e = by[cuts[t]:cuts[t + 1]]
+        # the pattern is symmetric: the later ends of the entries a front
+        # owns are the later columns its pivot rows reach
+        upd = _distinct(np.concatenate([later[e]] + [upds[c] for c in children[t]]))
         upd = upd[upd >= end]
         index = np.concatenate((np.arange(start, end), upd))
         f = len(index)
         peak = max(peak, 2 * f * f + pending)
         pending += len(upd) ** 2 - sum(len(upds[c]) ** 2 for c in children[t])
-        e = by[cuts[t]:cuts[t + 1]]
         at = np.searchsorted(index, rows[e]) * f + np.searchsorted(index, cols[e])
         locs = [(c, np.searchsorted(index, upds[c])) for c in children[t]]
         into = [(c, (loc[:, None] * f + loc).ravel()) for c, loc in locs]
@@ -422,7 +411,7 @@ def _log2_det_bound(mat: _Csr) -> float:
     ValueError naming the condition it breaks.  In the domain a zero
     diagonal entry leaves its row zero.
     """
-    rows, cols, vals = mat.rows(), mat.cols, mat.vals
+    rows, cols, vals = mat.rows, mat.cols, mat.vals
     diag = np.zeros(len(mat.ptr) - 1, dtype=np.int64)
     on = rows == cols
     diag[rows[on]] = vals[on]

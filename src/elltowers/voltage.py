@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -187,12 +186,11 @@ def derived_graph(spec: VoltageSpec, n: int, *, vertex_budget: int = DEFAULT_BUD
             f"layer {n} needs {g.n_vertices * size} vertices, budget is {vertex_budget}"
         )
     alpha_n = reduce_voltage(spec, n)
-    elements = list(product(range(m), repeat=spec.d))
-    vertex_labels = [(v, sigma) for v in range(g.n_vertices) for sigma in elements]
-
-    # group indices are base-m numerals, first coordinate most significant,
-    # so sigma's index is its position in ``elements``
+    # group indices are base-m numerals, first coordinate most significant:
+    # column i of ``digits`` is the element of index i
     digits = np.indices((m,) * spec.d).reshape(spec.d, size)
+    elements = list(zip(*digits.tolist()))
+    vertex_labels = [(v, sigma) for v in range(g.n_vertices) for sigma in elements]
     place = m ** np.arange(spec.d - 1, -1, -1)
     shifted = (digits + np.array(alpha_n)[:, :, None]) % m
     ends = np.array([(g.origin(s), g.terminus(s)) for s in spec.section.edges])

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from elltowers import cli
+
 from conftest import FIXTURES, fixture_spec
 from test_acceptance import TABLES
 
@@ -55,7 +57,9 @@ def test_validate_reports_disconnected_base_once(tmp_path):
      "level 1: 1000000008 character orbits"),
     ({"ell": 2, "d": 1, "alpha": [[1], [2]]}, ("lvalues", "--level", "40"),
      "level 21: value rows of 2097152 entries"),
-], ids=["orbits", "orbits-at-level-1", "row-width"])
+    ({"ell": 1000000007, "d": 1, "alpha": [[1], [2]]}, ("table", "--n-max", "1", "--budget", "0"),
+     "ell = 1000000007: Pascal tables of 1000000014000000049 entries"),
+], ids=["orbits", "orbits-at-level-1", "row-width", "large-ell"])
 def test_capacity_limits_exit_one_with_an_error_line(tmp_path, doc, args, message):
     spec = E1
     if doc is not None:
@@ -327,10 +331,12 @@ def test_level_curve_stops_at_max_level():
 
 @pytest.mark.parametrize("text", ["0", "-3", "2.5", "x"])
 def test_level_curve_refuses_a_max_level_below_one(text):
+    # the script parses --max-level with the command line's own parser
     module = _level_curve_module()
+    assert module._positive is cli._positive
     with pytest.raises(argparse.ArgumentTypeError):
-        module._level(text)
-    assert module._level("1") == 1
+        cli._positive(text)
+    assert cli._positive("1") == 1
     script = FIXTURES.parent / "scripts" / "level_curve.py"
     result = subprocess.run(
         [sys.executable, str(script), f"--max-level={text}", "bouquet2_ell2"], capture_output=True, text=True, timeout=60

@@ -15,6 +15,7 @@ from elltowers.lfunctions import (
     CharacterIndex,
     TowerCalculator,
     enumerate_orbits,
+    orbit_count,
     orbit_records,
 )
 from elltowers.series import LaurentPoly, char_poly, character_values
@@ -438,6 +439,22 @@ def test_level_sum_refuses_past_the_open_class_capacity(monkeypatch, capsys):
     assert captured.out == "" and "error: level 2: 3 open classes at depth 1" in captured.err
 
 
+def test_level_sum_refuses_an_ell_past_the_pascal_capacity(monkeypatch):
+    # refused at the call, before sparse_ord builds a table or expands a term
+    g = build_graph(1, [(0, 0), (0, 0)])
+    big = VoltageSpec(g, default_section(g), ((1,), (2,)), 1000000007, 1)
+    monkeypatch.setattr(lfunctions, "sparse_ord", lambda *args, **kwargs: pytest.fail("sparse_ord was called"))
+    message = r"^ell = 1000000007: Pascal tables of 1000000014000000049 entries, past the capacity of 65536$"
+    with pytest.raises(ValueError, match=message):
+        TowerCalculator(big).level_sum(1)
+    monkeypatch.undo()
+    monkeypatch.setattr(lfunctions, "_MAX_PASCAL", 9)
+    assert TowerCalculator(E4).level_sum(1) == 8
+    monkeypatch.setattr(lfunctions, "_MAX_PASCAL", 8)
+    with pytest.raises(ValueError, match=r"^ell = 3: Pascal tables of 9 entries, past the capacity of 8$"):
+        TowerCalculator(E4).level_sum(1)
+
+
 def test_orbit_enumeration_refuses_past_the_orbit_capacity():
     # 3 (2^40 - 1) orbits at level 40 for d = 2, refused before the residue
     # table over 2^40 residues is built; d = 1 has n orbits and no table
@@ -448,7 +465,10 @@ def test_orbit_enumeration_refuses_past_the_orbit_capacity():
 
 @pytest.mark.parametrize("ell, n, d", [(3, 3, 2), (2, 4, 3), (5, 2, 2)])
 def test_orbit_capacity_counts_the_orbits_exactly(monkeypatch, ell, n, d):
-    count = len(enumerate_orbits(ell, n, d))
+    orbits = enumerate_orbits(ell, n, d)
+    for k in range(1, n + 1):
+        assert orbit_count(ell, d, k) == sum(o.exact_order == ell**k for o in orbits), k
+    count = len(orbits)
     monkeypatch.setattr(lfunctions, "_MAX_ORBITS", count)
     assert len(enumerate_orbits(ell, n, d)) == count
     monkeypatch.setattr(lfunctions, "_MAX_ORBITS", count - 1)
