@@ -52,8 +52,7 @@ def run_fixture(path: Path, n_max_override, budget):
     if n_max >= unknowns:
         fit = fit_window(seq, (n_max - unknowns + 1, n_max))
         verified, _ = verify_fit(fit, seq)
-        shown = f"{verified[0]} <= n <= {verified[1]}" if verified else "nowhere"
-        print(f"  fit: ord = {format_fit(fit)}   (verified {shown})")
+        print(f"  fit: ord = {format_fit(fit)}   (verified {verified[0]} <= n <= {verified[1]})")
     print(f"  total {time.perf_counter() - t_start:.2f}s")
     print()
 

@@ -198,16 +198,16 @@ def _cmd_table(args: argparse.Namespace, spec) -> int:
 def _cmd_fit(args: argparse.Namespace, spec) -> int:
     unknowns = len(monomial_basis(spec.d))
     if args.n_max < unknowns:
-        print(f"need at least {unknowns} layers to fit (got {args.n_max})", file=sys.stderr)
+        print(f"error: need at least {unknowns} layers to fit (got {args.n_max})", file=sys.stderr)
         return 1
     seq = _compute_sequence(args, spec)
     window = (args.n_max - unknowns + 1, args.n_max)
     fit = fit_window(seq, window)
-    verified, residuals = verify_fit(fit, seq)
-    stable = None
-    if window[0] > 1:
-        earlier = fit_window(seq, (window[0] - 1, window[1] - 1))
-        stable = earlier.coefficients == fit.coefficients
+    # the fit is exact on its window, so the verified suffix covers it; the
+    # window one layer earlier gives the same fit iff the fit also reproduces
+    # the layer before its window
+    verified, _ = verify_fit(fit, seq)
+    stable = verified[0] < window[0] if window[0] > 1 else None
     formula, integral = format_fit(fit), leading_coefficients_integral(fit)
     coefficients = {_monomial_label(k, j): str(c) for (k, j), c in fit.coefficients.items()}
     rows = _sequence_rows(seq)
@@ -217,7 +217,7 @@ def _cmd_fit(args: argparse.Namespace, spec) -> int:
         "formula": formula,
         "coefficients": coefficients,
         "window": list(fit.window),
-        "verified_range": list(verified) if verified else None,
+        "verified_range": list(verified),
         "stable": stable,
         "leading_coefficients_integral": integral,
     }
@@ -225,7 +225,7 @@ def _cmd_fit(args: argparse.Namespace, spec) -> int:
         summary = {
             **coefficients,
             "window": f"{fit.window[0]}..{fit.window[1]}",
-            "verified_range": f"{verified[0]}..{verified[1]}" if verified else "none",
+            "verified_range": f"{verified[0]}..{verified[1]}",
             "stable": stable,
             "formula": formula,
         }
@@ -233,8 +233,6 @@ def _cmd_fit(args: argparse.Namespace, spec) -> int:
     _emit(_render_rows(rows, args.format, meta), args.out)
     if stable and not integral:
         print("warning: stable fit with non-integral leading coefficients", file=sys.stderr)
-    if residuals and verified is None:
-        print("warning: fitted polynomial does not reproduce the deepest layer", file=sys.stderr)
     return 0
 
 

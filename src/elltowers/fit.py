@@ -5,7 +5,7 @@ polynomial P(ell^n, n) of total degree at most d and degree at most one in
 the second variable, eventually.  This module assembles the table (by the
 L-function route, with the matrix-tree determinant as a cross-check while
 the layers are small enough to build), solves the square linear system on
-a window of consecutive layers with exact rational arithmetic, and reports
+a window of consecutive layers exactly by Cramer's rule, and reports
 how far back the fitted polynomial reproduces the data.  Fits are
 candidates with an explicit verified range, nothing stronger.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lfunctions import TowerCalculator, orbit_records
-from .linalg import solve_linear_fractions
+from .linalg import bareiss_det
 from .treecount import kappa_matrix_tree
 from .voltage import DEFAULT_BUDGET, VoltageSpec, derived_graph
 
@@ -120,9 +120,11 @@ class GreenbergFit:
 
 def fit_window(seq: ValuationSequence, window: tuple[int, int]) -> GreenbergFit:
     """Solve for the candidate coefficients on a window of 2d + 1 consecutive
-    layers.  The system is never singular: its matrix is the Casoratian of
-    2d + 1 independent solutions ell^(k n) n^j of one linear recurrence
-    with nonzero roots ell^0..ell^d."""
+    layers, by Cramer's rule over fraction-free determinants (Bareiss, Math.
+    Comp. 1968): coefficient i is det(rows with column i replaced by the
+    valuations) / det(rows).  The system is never singular: its matrix is
+    the Casoratian of 2d + 1 independent solutions ell^(k n) n^j of one
+    linear recurrence with nonzero roots ell^0..ell^d."""
     basis = monomial_basis(seq.d)
     n_start, n_end = window
     size = n_end - n_start + 1
@@ -134,9 +136,13 @@ def fit_window(seq: ValuationSequence, window: tuple[int, int]) -> GreenbergFit:
         x = seq.ell**n
         rows.append([x**k * n**j for (k, j) in basis])
         rhs.append(seq.ord_at(n))
-    sol = solve_linear_fractions(rows, rhs)
-    if sol is None:
+    det = bareiss_det(rows)
+    if det == 0:
         raise RuntimeError("singular fit window; internal inconsistency")
+    sol = [
+        Fraction(bareiss_det([row[:i] + [b] + row[i + 1 :] for row, b in zip(rows, rhs)]), det)
+        for i in range(size)
+    ]
     return GreenbergFit(seq.ell, seq.d, dict(zip(basis, sol)), window)
 
 

@@ -117,7 +117,9 @@ def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     followed by its choices in ascending order keeps the rows sorted with
     no sort.  int64 below 2^62, Python integers (dtype=object) otherwise,
     through the same code.  For d > 1, more than _MAX_ORBITS orbits raise a
-    ValueError naming the level and the count, before anything is built.
+    ValueError naming the level and the count, before anything is built; a
+    count past 2^64 is named by the power of two below it, since a deep
+    level's count has more digits than int-to-str conversion allows.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -125,7 +127,8 @@ def _orbit_reps(ell: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
         # the level counts grow by ell^(d-1) a level: their sum in closed form
         count = (orbit_count(ell, d, n + 1) - orbit_count(ell, d, 1)) // (ell ** (d - 1) - 1)
         if count > _MAX_ORBITS:
-            raise ValueError(f"level {n}: {count} character orbits, past the capacity of {_MAX_ORBITS}")
+            shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+            raise ValueError(f"level {n}: {shown} character orbits, past the capacity of {_MAX_ORBITS}")
     m = ell**n
     dtype = np.int64 if m < 2**62 else object
     # the lead, ascending: zero (t stays n), then ell^s (t = s)

@@ -1,4 +1,4 @@
-"""Exact linear algebra: fraction-free and modular determinants, rational solves.
+"""Exact linear algebra: fraction-free and modular determinants.
 
 Everything returned from this module is exact.  Floating point shows up only
 inside the determinant bound for the modular determinant, where it is
@@ -22,7 +22,6 @@ when it divides a leading minor, and the next prime replaces it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +64,9 @@ def bareiss_det(rows) -> int:
     """Fraction-free (Bareiss) determinant of an integer matrix.
 
     All intermediate entries are k x k minors of the input, so every
-    division below is exact; no rationals ever appear.
+    division below is exact; no rationals ever appear.  The growth fit
+    solves its small dense windows by Cramer's rule over this determinant;
+    the matrix-tree route never calls it and takes det_exact_modular.
     """
     n = len(rows)
     if n == 0:
@@ -139,29 +140,6 @@ def det_in_ring(rows):
         return acc
 
     return expand((1 << n) - 1)
-
-
-def solve_linear_fractions(matrix, rhs):
-    """Solve A x = b exactly over Q.  Returns a list of Fractions, or None
-    when the matrix is singular."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 _MOD_PRIME_BITS = 25  # entries are below 2^25, and so are the narrowest CRT primes

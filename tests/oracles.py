@@ -34,7 +34,7 @@ from itertools import combinations
 from elltowers.cyclotomic import CycInt
 from elltowers.graphs import MultiGraph
 from elltowers.lfunctions import CharacterIndex
-from elltowers.linalg import bareiss_det, det_in_ring, solve_linear_fractions
+from elltowers.linalg import bareiss_det, det_in_ring
 from elltowers.voltage import VoltageSpec, reduce_voltage
 
 # the ring Z[zeta] on the package's record ----------------------------------------
@@ -330,8 +330,9 @@ def ihara_h(g: MultiGraph) -> IharaPolynomial:
     """The three-term determinant polynomial of the graph.
 
     Computed by evaluating det(I - A t + (D - I) t^2) at 2|V| + 1 integer
-    points with fraction-free determinants and interpolating; the
-    interpolation is exact and the coefficients are checked to be integers.
+    points with fraction-free determinants and interpolating by Cramer's
+    rule over the same determinants; the interpolation is exact and the
+    coefficients are checked to be integers.
     """
     mats = matrices(g)
     n = g.n_vertices
@@ -350,10 +351,11 @@ def ihara_h(g: MultiGraph) -> IharaPolynomial:
         ]
         values.append(bareiss_det(m))
     vander = [[t**k for k in range(deg + 1)] for t in points]
-    sol = solve_linear_fractions(vander, values)
+    det = bareiss_det(vander)
     coeffs = []
-    for c in sol:
-        if c.denominator != 1:
+    for k in range(deg + 1):  # Cramer's rule, column k replaced by the values
+        c, rem = divmod(bareiss_det([row[:k] + [v] + row[k + 1 :] for row, v in zip(vander, values)]), det)
+        if rem:
             raise RuntimeError("interpolated polynomial is not integral")
-        coeffs.append(int(c))
+        coeffs.append(c)
     return IharaPolynomial(tuple(coeffs))

@@ -53,13 +53,14 @@ def test_validate_reports_disconnected_base_once(tmp_path):
 
 @pytest.mark.parametrize("doc, args, message", [
     (None, ("lvalues", "--level", "40"), "level 40: 3298534883325 character orbits"),
+    (None, ("lvalues", "--level", "100000"), "level 100000: at least 2^100001 character orbits"),
     ({"ell": 1000000007, "d": 2, "alpha": [[1, 0], [0, 1]]}, ("table", "--n-max", "1", "--budget", "0"),
      "level 1: 1000000008 character orbits"),
     ({"ell": 2, "d": 1, "alpha": [[1], [2]]}, ("lvalues", "--level", "40"),
      "level 21: value rows of 2097152 entries"),
     ({"ell": 1000000007, "d": 1, "alpha": [[1], [2]]}, ("table", "--n-max", "1", "--budget", "0"),
      "ell = 1000000007: Pascal tables of 1000000014000000049 entries"),
-], ids=["orbits", "orbits-at-level-1", "row-width", "large-ell"])
+], ids=["orbits", "orbits-deep", "orbits-at-level-1", "row-width", "large-ell"])
 def test_capacity_limits_exit_one_with_an_error_line(tmp_path, doc, args, message):
     spec = E1
     if doc is not None:
@@ -152,9 +153,26 @@ def test_fit_command():
     assert doc["leading_coefficients_integral"] is True
 
 
+# stable: the window one layer earlier gives the same fit; null when the
+# window already starts at layer 1
+@pytest.mark.parametrize("fixture, n_max, stable", [
+    ("bouquet4_ell2_skew", 6, False),
+    ("bouquet4_ell2_skew", 7, False),
+    ("bouquet4_ell2_skew", 8, False),
+    ("bouquet4_ell2_skew", 9, True),
+    ("bouquet2_ell3", 5, None),
+])
+def test_fit_stability(fixture, n_max, stable):
+    spec = str(FIXTURES / f"{fixture}.json")
+    result = run_cli("fit", "--spec", spec, "--n-max", str(n_max), "--budget", "0", "--format", "json")
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["stable"] is stable
+
+
 def test_fit_needs_enough_layers():
     result = run_cli("fit", "--spec", E4, "--n-max", "3", "--budget", "0")
     assert result.returncode == 1
+    assert result.stderr == "error: need at least 5 layers to fit (got 3)\n"
 
 
 def test_lvalues_command():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,15 +101,23 @@ def test_fractional_leading_coefficient_flagged():
 # Every window is solvable: its rows ell^(k n) n^j over consecutive n are
 # 2d + 1 independent solutions of one linear recurrence whose roots
 # ell^0..ell^d are nonzero, so the window matrix (their Casoratian) is
-# never singular.
+# never singular.  Random valuations give rational coefficients, and the
+# fit reproduces them exactly on its window.
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
 def test_every_window_fits(ell, d):
     unknowns = len(monomial_basis(d))
     seq = synthetic_sequence(ell, d, {(0, 0): 1}, range(1, 8 + unknowns))
+    rng = random.Random(ell * 10 + d)
     for start in range(1, 9):
-        fit = fit_window(seq, (start, start + unknowns - 1))
+        window = (start, start + unknowns - 1)
+        fit = fit_window(seq, window)
         assert fit.coefficients == {key: int(key == (0, 0)) for key in monomial_basis(d)}
+        noisy = ValuationSequence(ell, d, tuple(
+            SequenceEntry(n, rng.randrange(-10**9, 10**9), "l-function") for n in range(start, window[1] + 1)
+        ))
+        fit = fit_window(noisy, window)
+        assert all(fit.evaluate(e.n) == e.ord_ell for e in noisy.entries)
 
 
 def test_route_field_reflects_cross_check():

@@ -55,8 +55,8 @@ CHECKED = {
 }
 
 # what the oracles may take from the package: data types, the voltage
-# reduction, the fraction-free determinant and rational solve, and
-# det_in_ring, which P is built with too until P gets a route of its own
+# reduction, the fraction-free determinant, and det_in_ring, which P is
+# built with too until P gets a route of its own
 ORACLE_IMPORTS = {
     "CycInt",
     "CharacterIndex",
@@ -64,7 +64,6 @@ ORACLE_IMPORTS = {
     "VoltageSpec",
     "reduce_voltage",
     "bareiss_det",
-    "solve_linear_fractions",
     "det_in_ring",
 }
 

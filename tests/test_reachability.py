@@ -24,7 +24,6 @@ ALLOWED = {
     "fit.valuation_sequence": "called by perfbench/workloads.py",
     "voltage.tower_spec_to_json": "called by perfbench/workloads.py",
     "cyclotomic.pi_adic_ord": "in perfbench/tracer.py's TARGETS, looked up as elltowers.lfunctions.pi_adic_ord",
-    "linalg.bareiss_det": "in perfbench/tracer.py's TARGETS, looked up as elltowers.treecount.bareiss_det",
     "series.iwasawa_invariants_d1": "waits for its caller, ROADMAP item 3's certified d = 1 growth formula",
 }
 
